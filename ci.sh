@@ -65,16 +65,17 @@ if [ -n "${stray}" ]; then
   exit 1
 fi
 
-# Smoke-run all three kernel execution engines against each other: the
-# run asserts bit-identical prices/stats/counters/traces internally and
-# prints the determinism marker only when every comparison held.
+# Smoke-run both kernel execution engines (walk and lanes) against each
+# other: the run asserts bit-identical prices/stats/counters/traces
+# internally and prints the determinism marker only when every
+# comparison held.
 echo "== interp_throughput engine determinism smoke =="
 ./target/release/interp_throughput --fast --engine all --json 2>&1 \
   | grep -q 'determinism check: PASS'
 
 # Same determinism contract for the kernel IV.C pipe pair: the streaming
 # producer/consumer launch graph must be bit-identical (stall counters
-# included) across all three engines and every worker count.
+# included) across both engines and every worker count.
 echo "== interp_throughput IV.C pipe smoke =="
 ./target/release/interp_throughput --kernel ivc --engine all --fast --json 2>&1 \
   | grep -q 'determinism check: PASS'

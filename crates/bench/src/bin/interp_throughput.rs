@@ -7,13 +7,14 @@
 //! execution engine(s), checks that prices, merged `ExecStats` (pipe
 //! stall counters included), `QueueCounters` and the exported Chrome
 //! trace are bit-identical across worker counts *and* across the
-//! tree-walking, bytecode and lane-vectorized engines, and reports the
-//! wall-clock speedups. Both knobs are wall-clock only: the simulated
-//! device clock never changes.
+//! tree-walking and lane-vectorized engines, and reports the wall-clock
+//! speedups. Both knobs are wall-clock only: the simulated device clock
+//! never changes.
 //!
 //! Pass `--kernel ivb|ivc` (default `ivb`) to pick the architecture,
-//! `--engine walk|bytecode|lanes|both|all` (default `both`; `all`
-//! sweeps all three engines) to pick the engine(s), `--fast` for a
+//! `--engine walk|lanes|both|all` (default `both`; `both` and `all` each
+//! sweep walk and lanes; `bytecode`/`bc` are aliases of `lanes`) to pick
+//! the engine(s), `--fast` for a
 //! smaller lattice/batch, `--json-out <path>` / `--json` for the
 //! machine-readable report. On success the determinism check prints
 //! `determinism check: PASS` to stderr (grepped by CI).
@@ -150,12 +151,11 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("both")
     {
-        "both" => vec![Engine::Walk, Engine::Bytecode],
-        "all" => vec![Engine::Walk, Engine::Bytecode, Engine::Lanes],
+        "both" | "all" => vec![Engine::Walk, Engine::Lanes],
         other => match bop_ocl::queue::parse_engine(other) {
             Some(e) => vec![e],
             None => {
-                eprintln!("--engine expects walk|bytecode|lanes|both|all, got `{other}`");
+                eprintln!("--engine expects walk|lanes|both|all, got `{other}`");
                 std::process::exit(2);
             }
         },
@@ -174,7 +174,7 @@ fn main() {
         Kern::IvC => ("IV.C", format!("{n_options} options (producer/consumer pipe graph)")),
     };
     let options =
-        workload::volatility_curve(&workload::WorkloadConfig::default(), 1.0, 4, n_options);
+        workload::volatility_curve(&workload::WorkloadConfig::default(), 1.0, n_options, 4);
     let names: Vec<String> = engines.iter().map(|e| e.to_string()).collect();
     eprintln!("interpreting {label}: {shape}, {n_steps} steps, engine(s): {}...", names.join(", "));
 
@@ -221,25 +221,18 @@ fn main() {
     }
 
     // Cross-engine speedup at each worker count (baseline wall /
-    // contender wall), for every baseline/contender pair in the sweep.
-    // The lanes-vs-bytecode row is the headline for the lane-vectorized
-    // engine: both compile to the same bytecode, so the ratio isolates
-    // the SoA lane dispatch from the peephole/SSA wins.
+    // contender wall), when the sweep covers both engines.
     let find = |e: Engine| sweeps.iter().find(|(se, _)| *se == e).map(|(_, r)| r);
     type SpeedupRows = Vec<(usize, f64)>;
-    let pairs: Vec<(Engine, Engine, SpeedupRows)> = [
-        (Engine::Walk, Engine::Bytecode),
-        (Engine::Walk, Engine::Lanes),
-        (Engine::Bytecode, Engine::Lanes),
-    ]
-    .into_iter()
-    .filter_map(|(base, cont)| {
-        let (b, c) = (find(base)?, find(cont)?);
-        let per: Vec<(usize, f64)> =
-            b.iter().zip(c).map(|((w, br), (_, cr))| (*w, br.wall_s / cr.wall_s)).collect();
-        Some((base, cont, per))
-    })
-    .collect();
+    let pairs: Vec<(Engine, Engine, SpeedupRows)> = [(Engine::Walk, Engine::Lanes)]
+        .into_iter()
+        .filter_map(|(base, cont)| {
+            let (b, c) = (find(base)?, find(cont)?);
+            let per: Vec<(usize, f64)> =
+                b.iter().zip(c).map(|((w, br), (_, cr))| (*w, br.wall_s / cr.wall_s)).collect();
+            Some((base, cont, per))
+        })
+        .collect();
 
     // Simulated-device rates (engine- and worker-independent): the
     // snapshot gate tracks these alongside the wall-clock rows.

@@ -1,4 +1,4 @@
-//! Register bytecode: a compiled execution engine for kernels.
+//! Register bytecode: the compiled execution engine for kernels.
 //!
 //! The tree-walking interpreter in [`crate::interp`] re-fetches every
 //! instruction through two levels of `Vec` indexing and re-resolves block
@@ -7,8 +7,9 @@
 //! verified [`Function`] once into a [`CompiledKernel`]: a linear stream
 //! of register-machine ops with pre-resolved jump offsets, an interned
 //! constant pool and specialized opcodes for the hot double-precision
-//! arithmetic of the pricing kernels. [`BytecodeRun`] then executes it
-//! with a compact dispatch loop.
+//! arithmetic of the pricing kernels. [`LanesRun`] then executes it one
+//! work-group at a time, dispatching each op once per lockstep group of
+//! work-items (a single lane for single-work-item tasks).
 //!
 //! The engine is observationally identical to the tree-walker by
 //! construction: same argument-binding errors, same [`ExecStats`]
@@ -143,6 +144,9 @@ enum Op {
         base: u32,
         index: u32,
         elem: ScalarType,
+        /// Type of the index register, which decides how its cell
+        /// widens to a 64-bit element count.
+        index_ty: ScalarType,
     },
     Load {
         dst: u32,
@@ -241,7 +245,7 @@ impl ConstKey {
 ///
 /// Compilation is infallible on verified IR; build it once per kernel
 /// (the OpenCL-style runtime caches it in the program object) and run it
-/// many times via [`BytecodeRun`]. The `Display` impl renders a
+/// many times via [`LanesRun`]. The `Display` impl renders a
 /// disassembly listing (the `aoc` bench bin's `--dump-bytecode`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
@@ -255,6 +259,10 @@ pub struct CompiledKernel {
     /// reports that must match the tree-walker.
     pos_of_pc: Vec<(u32, u32)>,
     private_bytes: usize,
+    /// Row of each pointer-typed register in the lanes engine's pointer
+    /// plane (`u32::MAX` for scalar registers), and the number of rows.
+    ptr_slot: Vec<u32>,
+    ptr_regs: usize,
 }
 
 impl CompiledKernel {
@@ -317,9 +325,16 @@ impl CompiledKernel {
                     Inst::WorkItem { query, dim, dst } => {
                         Op::WorkItem { query: *query, dim: *dim, dst: r(*dst) }
                     }
-                    Inst::Gep { dst, base, index, elem } => {
-                        Op::Gep { dst: r(*dst), base: r(*base), index: r(*index), elem: *elem }
-                    }
+                    Inst::Gep { dst, base, index, elem } => Op::Gep {
+                        dst: r(*dst),
+                        base: r(*base),
+                        index: r(*index),
+                        elem: *elem,
+                        index_ty: match func.reg_types[index.index()] {
+                            Type::Scalar(ty) => ty,
+                            Type::Ptr(..) => unreachable!("verified gep indices are scalars"),
+                        },
+                    },
                     Inst::Load { dst, ptr, ty } => Op::Load { dst: r(*dst), ptr: r(*ptr), ty: *ty },
                     Inst::Store { ptr, val, ty } => {
                         Op::Store { ptr: r(*ptr), val: r(*val), ty: *ty }
@@ -365,6 +380,18 @@ impl CompiledKernel {
             }
         }
 
+        let mut ptr_regs = 0;
+        let ptr_slot = func
+            .reg_types
+            .iter()
+            .map(|ty| match ty {
+                Type::Ptr(..) => {
+                    ptr_regs += 1;
+                    ptr_regs as u32 - 1
+                }
+                Type::Scalar(_) => u32::MAX,
+            })
+            .collect();
         CompiledKernel {
             name: func.name.clone(),
             params: func.params.clone(),
@@ -374,6 +401,8 @@ impl CompiledKernel {
             block_starts,
             pos_of_pc,
             private_bytes: func.private_bytes,
+            ptr_slot,
+            ptr_regs,
         }
     }
 
@@ -619,7 +648,7 @@ impl fmt::Display for CompiledKernel {
                 Op::WorkItem { query, dim, dst } => {
                     write!(f, "r{dst} = {}({dim})", query.name())?
                 }
-                Op::Gep { dst, base, index, elem } => {
+                Op::Gep { dst, base, index, elem, .. } => {
                     write!(f, "r{dst} = gep.{elem} r{base}, r{index}")?
                 }
                 Op::Load { dst, ptr, ty } => write!(f, "r{dst} = load.{ty} r{ptr}")?,
@@ -655,423 +684,13 @@ impl fmt::Display for CompiledKernel {
     }
 }
 
+/// Where a lane stands between phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BcStatus {
+enum LaneStatus {
     Running,
     AtBarrier,
     AtPipe,
     Done,
-}
-
-struct BcItem {
-    pc: usize,
-    regs: Vec<Value>,
-    private: Vec<u8>,
-    status: BcStatus,
-    /// Precomputed 3-D local id (saves two divisions per geometry query).
-    lid: [usize; 3],
-}
-
-/// Executes the work-items of one work-group over a [`CompiledKernel`].
-///
-/// Drop-in replacement for [`crate::interp::WorkGroupRun`]: same
-/// constructor contract, same `run`/`stats`/`into_stats` API, and
-/// bit-identical observable behaviour.
-pub struct BytecodeRun<'k> {
-    kernel: &'k CompiledKernel,
-    shape: GroupShape,
-    items: Vec<BcItem>,
-    stats: ExecStats,
-    steps: u64,
-    step_limit: u64,
-}
-
-impl<'k> BytecodeRun<'k> {
-    /// Prepare a run of `kernel` for the group described by `shape`, with
-    /// kernel arguments `args`. `step_limit` of 0 selects
-    /// [`DEFAULT_STEP_LIMIT`].
-    ///
-    /// # Errors
-    /// Returns [`ExecError::BadArgs`] if `args` does not match the kernel
-    /// signature (same messages as the tree-walker).
-    pub fn new(
-        kernel: &'k CompiledKernel,
-        shape: GroupShape,
-        args: &[KernelArgValue],
-        step_limit: u64,
-    ) -> Result<BytecodeRun<'k>, ExecError> {
-        check_pipe_shape(&kernel.name, &kernel.params, &shape)?;
-        let bound = bind_args(kernel, args)?;
-        let n = shape.items_per_group();
-        let mut items = Vec::with_capacity(n);
-        for item in 0..n {
-            let mut regs: Vec<Value> = kernel
-                .reg_types
-                .iter()
-                .map(|ty| match ty {
-                    Type::Scalar(ScalarType::Bool) => Value::Bool(false),
-                    Type::Scalar(ScalarType::I32) => Value::I32(0),
-                    Type::Scalar(ScalarType::I64) => Value::I64(0),
-                    Type::Scalar(ScalarType::F32) => Value::F32(0.0),
-                    Type::Scalar(ScalarType::F64) => Value::F64(0.0),
-                    Type::Ptr(space, _) => Value::Ptr(PtrValue::new(*space, u32::MAX)),
-                })
-                .collect();
-            regs[..bound.len()].copy_from_slice(&bound);
-            items.push(BcItem {
-                pc: 0,
-                regs,
-                private: vec![0; kernel.private_bytes],
-                status: BcStatus::Running,
-                lid: shape.local_id(item),
-            });
-        }
-        let mut stats = ExecStats::with_blocks(kernel.block_starts.len());
-        // Every live item enters block 0.
-        stats.block_execs[0] += n as u64;
-        Ok(BytecodeRun {
-            kernel,
-            shape,
-            items,
-            stats,
-            steps: 0,
-            step_limit: if step_limit == 0 { DEFAULT_STEP_LIMIT } else { step_limit },
-        })
-    }
-
-    /// Execution statistics accumulated so far.
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
-    }
-
-    /// Consume the run and return its statistics.
-    pub fn into_stats(self) -> ExecStats {
-        self.stats
-    }
-
-    /// Run the whole group to completion with no pipes attached; a pipe
-    /// stall is reported as the deterministic deadlock trap (same
-    /// contract as [`crate::interp::WorkGroupRun::run`]).
-    ///
-    /// # Errors
-    /// Propagates memory errors, traps, barrier divergence and step-limit
-    /// exhaustion, with the same payloads as the tree-walker.
-    pub fn run(&mut self, mem: &mut dyn Memory, math: &dyn MathLib) -> Result<(), ExecError> {
-        let mut pipes = PipeHub::default();
-        match self.run_resumable(mem, math, &mut pipes)? {
-            RunOutcome::Complete => Ok(()),
-            RunOutcome::Stalled => Err(pipe_deadlock_trap()),
-        }
-    }
-
-    /// Run until every work-item retires or a pipe op stalls; same
-    /// resume/accounting contract as
-    /// [`crate::interp::WorkGroupRun::run_resumable`].
-    ///
-    /// # Errors
-    /// Propagates memory errors, traps, barrier divergence and step-limit
-    /// exhaustion, with the same payloads as the tree-walker.
-    pub fn run_resumable(
-        &mut self,
-        mem: &mut dyn Memory,
-        math: &dyn MathLib,
-        pipes: &mut PipeHub,
-    ) -> Result<RunOutcome, ExecError> {
-        loop {
-            let mut any_running = false;
-            for item in 0..self.items.len() {
-                if matches!(self.items[item].status, BcStatus::Running | BcStatus::AtPipe) {
-                    any_running = true;
-                    self.run_item(item, mem, math, pipes)?;
-                }
-            }
-            let live: Vec<usize> =
-                (0..self.items.len()).filter(|&i| self.items[i].status != BcStatus::Done).collect();
-            if live.is_empty() {
-                return Ok(RunOutcome::Complete);
-            }
-            if live.iter().any(|&i| self.items[i].status == BcStatus::AtPipe) {
-                // A stalled pipe op cannot be released locally; hand
-                // control back to the co-scheduler.
-                return Ok(RunOutcome::Stalled);
-            }
-            // All live items are now suspended at barriers.
-            let pos = self.kernel.pos(self.items[live[0]].pc);
-            for &i in &live[1..] {
-                let p = self.kernel.pos(self.items[i].pc);
-                if p != pos {
-                    return Err(ExecError::BarrierDivergence { a: pos, b: p });
-                }
-            }
-            if !any_running {
-                // Defensive: should be unreachable, barrier release below
-                // always makes progress.
-                return Err(ExecError::Trap("scheduler made no progress".into()));
-            }
-            // Release the barrier: step every live item past it.
-            self.stats.barriers += 1;
-            for &i in &live {
-                let it = &mut self.items[i];
-                it.pc += 1;
-                it.status = BcStatus::Running;
-            }
-        }
-    }
-
-    /// Execute `item` until it retires, reaches a barrier or stalls on a
-    /// pipe.
-    fn run_item(
-        &mut self,
-        item: usize,
-        mem: &mut dyn Memory,
-        math: &dyn MathLib,
-        pipes: &mut PipeHub,
-    ) -> Result<(), ExecError> {
-        self.stats.item_phases += 1;
-        let code = &self.kernel.code[..];
-        let consts = &self.kernel.consts[..];
-        let stats = &mut self.stats;
-        let steps = &mut self.steps;
-        let step_limit = self.step_limit;
-        let shape = &self.shape;
-        let it = &mut self.items[item];
-        loop {
-            *steps += 1;
-            if *steps > step_limit {
-                return Err(ExecError::StepLimitExceeded);
-            }
-            match &code[it.pc] {
-                Op::Const { dst, idx } => {
-                    it.regs[*dst as usize] = consts[*idx as usize];
-                }
-                Op::Mov { dst, src } => {
-                    stats.ops.mov += 1;
-                    it.regs[*dst as usize] = it.regs[*src as usize];
-                }
-                Op::AddF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() + it.regs[*b as usize].as_f64();
-                    stats.ops.add64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::SubF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() - it.regs[*b as usize].as_f64();
-                    stats.ops.add64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::MulF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() * it.regs[*b as usize].as_f64();
-                    stats.ops.mul64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::DivF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64() / it.regs[*b as usize].as_f64();
-                    stats.ops.div64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::MinF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64().min(it.regs[*b as usize].as_f64());
-                    stats.ops.minmax64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::MaxF64 { dst, a, b } => {
-                    let out = it.regs[*a as usize].as_f64().max(it.regs[*b as usize].as_f64());
-                    stats.ops.minmax64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::AddI64 { dst, a, b } => {
-                    let out =
-                        it.regs[*a as usize].as_i64().wrapping_add(it.regs[*b as usize].as_i64());
-                    stats.ops.int_alu += 1;
-                    it.regs[*dst as usize] = Value::I64(out);
-                }
-                Op::Bin { op, ty, dst, a, b } => {
-                    let (va, vb) = (it.regs[*a as usize], it.regs[*b as usize]);
-                    let out = eval_bin(*op, *ty, va, vb).map_err(ExecError::Trap)?;
-                    stats.ops.count_bin(*op, *ty);
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Un { op, ty, dst, a } => {
-                    let out = eval_un(*op, *ty, it.regs[*a as usize]);
-                    stats.ops.int_alu += 1;
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Cmp { op, ty, dst, a, b } => {
-                    let out = eval_cmp(*op, *ty, it.regs[*a as usize], it.regs[*b as usize]);
-                    stats.ops.cmp += 1;
-                    it.regs[*dst as usize] = Value::Bool(out);
-                }
-                Op::Select { ty, dst, cond, a, b } => {
-                    let out = if it.regs[*cond as usize].as_bool() {
-                        it.regs[*a as usize]
-                    } else {
-                        it.regs[*b as usize]
-                    };
-                    debug_assert_eq!(out.scalar_type(), Some(*ty));
-                    stats.ops.select += 1;
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Cast { dst, a, from, to } => {
-                    stats.ops.cast += 1;
-                    it.regs[*dst as usize] = eval_cast(it.regs[*a as usize], *from, *to);
-                }
-                Op::Call1 { func, ty, dst, a } => {
-                    let x = it.regs[*a as usize].as_f64();
-                    let out = match func {
-                        Builtin::Exp => math.exp64(x),
-                        Builtin::Log => math.log64(x),
-                        Builtin::Sqrt => math.sqrt64(x),
-                        Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
-                    };
-                    let out = if *ty == ScalarType::F32 {
-                        let x32 = x as f32;
-                        Value::F32(match func {
-                            Builtin::Exp => math.exp32(x32),
-                            Builtin::Log => math.log32(x32),
-                            Builtin::Sqrt => math.sqrt32(x32),
-                            Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
-                        })
-                    } else {
-                        Value::F64(out)
-                    };
-                    stats.ops.count_builtin(*func, *ty);
-                    it.regs[*dst as usize] = out;
-                }
-                Op::Pow { ty, dst, a, b } => {
-                    let x = it.regs[*a as usize].as_f64();
-                    let y = it.regs[*b as usize].as_f64();
-                    let out = if *ty == ScalarType::F32 {
-                        Value::F32(math.pow32(x as f32, y as f32))
-                    } else {
-                        Value::F64(math.pow64(x, y))
-                    };
-                    stats.ops.count_builtin(Builtin::Pow, *ty);
-                    it.regs[*dst as usize] = out;
-                }
-                Op::WorkItem { query, dim, dst } => {
-                    let dim = *dim as usize;
-                    let out = match query {
-                        WiQuery::GlobalId => {
-                            shape.group_id[dim] * shape.local_size[dim] + it.lid[dim]
-                        }
-                        WiQuery::LocalId => it.lid[dim],
-                        WiQuery::GroupId => shape.group_id[dim],
-                        WiQuery::GlobalSize => shape.global_size[dim],
-                        WiQuery::LocalSize => shape.local_size[dim],
-                        WiQuery::NumGroups => shape.num_groups()[dim],
-                    };
-                    stats.ops.wi_query += 1;
-                    it.regs[*dst as usize] = Value::I64(out as i64);
-                }
-                Op::Gep { dst, base, index, elem } => {
-                    let p = it.regs[*base as usize].as_ptr();
-                    let idx = it.regs[*index as usize].as_i64();
-                    stats.ops.int_alu += 1;
-                    it.regs[*dst as usize] = Value::Ptr(p.offset_by(idx, *elem));
-                }
-                Op::Load { dst, ptr, ty } => {
-                    let p = it.regs[*ptr as usize].as_ptr();
-                    let v = if p.space == AddressSpace::Private {
-                        bc_private_load(&it.private, p, *ty)?
-                    } else {
-                        mem.load(p, *ty)?
-                    };
-                    stats.mem.count_load(p.space, ty.size_bytes());
-                    it.regs[*dst as usize] = v;
-                }
-                Op::Store { ptr, val, ty } => {
-                    let p = it.regs[*ptr as usize].as_ptr();
-                    let v = it.regs[*val as usize];
-                    debug_assert_eq!(v.scalar_type(), Some(*ty));
-                    if p.space == AddressSpace::Private {
-                        bc_private_store(&mut it.private, p, v)?;
-                    } else {
-                        mem.store(p, v)?;
-                    }
-                    stats.mem.count_store(p.space, ty.size_bytes());
-                }
-                Op::MulAddF64 { dst, a, b, c, c_first } => {
-                    // Second step for the fused add, as the walker pays.
-                    *steps += 1;
-                    if *steps > step_limit {
-                        return Err(ExecError::StepLimitExceeded);
-                    }
-                    let prod = it.regs[*a as usize].as_f64() * it.regs[*b as usize].as_f64();
-                    let cv = it.regs[*c as usize].as_f64();
-                    // Operand order mirrors the unfused source expression so
-                    // NaN payloads stay bit-identical to the tree-walker.
-                    #[allow(clippy::if_same_then_else)]
-                    let out = if *c_first { cv + prod } else { prod + cv };
-                    stats.ops.mul64 += 1;
-                    stats.ops.add64 += 1;
-                    it.regs[*dst as usize] = Value::F64(out);
-                }
-                Op::ChargeMov => {
-                    stats.ops.mov += 1;
-                }
-                Op::JumpThread { target, mid_block, block } => {
-                    // Step for the skipped block's jump, as the walker pays.
-                    *steps += 1;
-                    if *steps > step_limit {
-                        return Err(ExecError::StepLimitExceeded);
-                    }
-                    stats.block_execs[*mid_block as usize] += 1;
-                    stats.block_execs[*block as usize] += 1;
-                    it.pc = *target as usize;
-                    continue;
-                }
-                Op::Barrier => {
-                    it.status = BcStatus::AtBarrier;
-                    return Ok(());
-                }
-                Op::PipeRead { dst, pipe, ty } => {
-                    let p = it.regs[*pipe as usize].as_ptr();
-                    match pipes.try_read(p.buffer, *ty).map_err(ExecError::Trap)? {
-                        None => {
-                            stats.pipe_read_stalls += 1;
-                            it.status = BcStatus::AtPipe;
-                            return Ok(());
-                        }
-                        Some(bits) => {
-                            stats.pipe_reads += 1;
-                            it.regs[*dst as usize] = decode_scalar(*ty, bits);
-                        }
-                    }
-                    it.status = BcStatus::Running;
-                }
-                Op::PipeWrite { pipe, val, ty } => {
-                    let p = it.regs[*pipe as usize].as_ptr();
-                    let bits = encode_scalar(it.regs[*val as usize]);
-                    if !pipes.try_write(p.buffer, *ty, bits).map_err(ExecError::Trap)? {
-                        stats.pipe_write_stalls += 1;
-                        it.status = BcStatus::AtPipe;
-                        return Ok(());
-                    }
-                    stats.pipe_writes += 1;
-                    it.status = BcStatus::Running;
-                }
-                Op::Jump { target, block } => {
-                    stats.block_execs[*block as usize] += 1;
-                    it.pc = *target as usize;
-                    continue;
-                }
-                Op::Branch { cond, then_target, then_block, else_target, else_block } => {
-                    let (target, block) = if it.regs[*cond as usize].as_bool() {
-                        (*then_target, *then_block)
-                    } else {
-                        (*else_target, *else_block)
-                    };
-                    stats.block_execs[block as usize] += 1;
-                    it.pc = target as usize;
-                    continue;
-                }
-                Op::Return => {
-                    it.status = BcStatus::Done;
-                    return Ok(());
-                }
-            }
-            it.pc += 1;
-        }
-    }
 }
 
 /// Pack a scalar [`Value`] into a 64-bit register cell. Pointers live
@@ -1100,133 +719,352 @@ fn decode_scalar(ty: ScalarType, bits: u64) -> Value {
     }
 }
 
-/// A SIMT group: lanes in lockstep at one pc. Lanes of a group share an
-/// identical per-phase history, hence one `fetched` counter.
-///
-/// Lane lists are always ascending (divergence partitions and trap
-/// masking both preserve order), so a contiguous run — the common case,
-/// detected in O(1) — lets the per-op inner loops walk a dense index
-/// range instead of gathering through the list.
-struct LaneGroup {
+/// Little-endian bytes (at most 8) as a register cell.
+#[inline(always)]
+fn read_le(bytes: &[u8]) -> u64 {
+    match <[u8; 8]>::try_from(bytes) {
+        Ok(b) => u64::from_le_bytes(b),
+        Err(_) => {
+            let mut raw = [0u8; 8];
+            raw[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(raw)
+        }
+    }
+}
+
+/// The low `dst.len()` little-endian bytes of a register cell.
+#[inline(always)]
+fn write_le(dst: &mut [u8], bits: u64) {
+    dst.copy_from_slice(&bits.to_le_bytes()[..dst.len()]);
+}
+
+/// Byte offset of a `len`-byte access through `p` into a private arena
+/// of `size` bytes, if `p` is private and the access is in bounds.
+#[inline(always)]
+fn private_offset(p: PtrValue, len: usize, size: usize) -> Option<usize> {
+    if p.space != AddressSpace::Private {
+        return None;
+    }
+    usize::try_from(p.offset).ok().filter(|o| o + len <= size)
+}
+
+/// The lanes a lockstep group runs an op across. [`LanesRun::run_group`]
+/// is generic over it and compiled once per shape: [`One`] for
+/// single-lane groups (every pipe task, every fully diverged lane) with
+/// no lane-list bookkeeping at all, [`Dense`] for contiguous runs with
+/// bounds-check-free, auto-vectorizable loops, and [`Sparse`] for the
+/// rest. Lanes are always visited in ascending order.
+trait LaneSet: Copy {
+    /// Number of lanes (at least one).
+    fn len(self) -> usize;
+
+    /// Lane at position `k < len()`.
+    fn at(self, k: usize) -> usize;
+
+    /// The lanes as a dense `lo..hi` range, when this shape is one.
+    #[inline(always)]
+    fn dense(self) -> Option<(usize, usize)> {
+        None
+    }
+
+    #[inline(always)]
+    fn for_each(self, mut f: impl FnMut(usize)) {
+        for k in 0..self.len() {
+            f(self.at(k));
+        }
+    }
+
+    /// Run `keep` on the lanes from position `from` on (earlier lanes are
+    /// kept as they are) and report which survive. Lane vectors come from
+    /// and go back to `pool`.
+    #[inline(always)]
+    fn retain(
+        self,
+        from: usize,
+        pool: &mut Vec<Vec<usize>>,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> Kept {
+        let mut out: Option<Vec<usize>> = None;
+        for k in from..self.len() {
+            let l = self.at(k);
+            match (keep(l), &mut out) {
+                (true, Some(v)) => v.push(l),
+                (false, None) => {
+                    let mut v = pool.pop().unwrap_or_default();
+                    v.clear();
+                    v.extend((0..k).map(|j| self.at(j)));
+                    out = Some(v);
+                }
+                _ => {}
+            }
+        }
+        match out {
+            None => Kept::All,
+            Some(v) if v.is_empty() => {
+                pool.push(v);
+                Kept::Nothing
+            }
+            Some(v) => Kept::Part(v),
+        }
+    }
+}
+
+/// A single-lane group.
+#[derive(Clone, Copy)]
+struct One(usize);
+
+/// The contiguous lanes `lo..hi`.
+#[derive(Clone, Copy)]
+struct Dense {
+    lo: usize,
+    hi: usize,
+}
+
+/// An ascending, non-contiguous lane list.
+#[derive(Clone, Copy)]
+struct Sparse<'a>(&'a [usize]);
+
+impl LaneSet for One {
+    #[inline(always)]
+    fn len(self) -> usize {
+        1
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> usize {
+        self.0
+    }
+}
+
+impl LaneSet for Dense {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.hi - self.lo
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> usize {
+        self.lo + k
+    }
+    #[inline(always)]
+    fn dense(self) -> Option<(usize, usize)> {
+        Some((self.lo, self.hi))
+    }
+    #[inline(always)]
+    fn for_each(self, f: impl FnMut(usize)) {
+        (self.lo..self.hi).for_each(f);
+    }
+}
+
+impl LaneSet for Sparse<'_> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> usize {
+        self.0[k]
+    }
+    #[inline(always)]
+    fn for_each(self, f: impl FnMut(usize)) {
+        self.0.iter().copied().for_each(f);
+    }
+}
+
+/// Which lanes survived an op that can drop lanes (a trap or a pipe
+/// stall).
+enum Kept {
+    All,
+    Nothing,
+    Part(Vec<usize>),
+}
+
+/// Write `v` to row `base` of a register plane across `lanes`.
+#[inline(always)]
+fn fill_lanes<T: Copy>(plane: &mut [T], base: usize, lanes: impl LaneSet, v: T) {
+    match lanes.dense() {
+        Some((lo, hi)) => plane[base + lo..base + hi].fill(v),
+        None => lanes.for_each(|l| plane[base + l] = v),
+    }
+}
+
+/// Copy row `src` to row `dst` of a register plane across `lanes`.
+#[inline(always)]
+fn copy_lanes<T: Copy>(plane: &mut [T], src: usize, dst: usize, lanes: impl LaneSet) {
+    match lanes.dense() {
+        // Register rows are disjoint (or identical, for a no-op mov), so
+        // the dense case is a memmove.
+        Some((lo, hi)) => plane.copy_within(src + lo..src + hi, dst + lo),
+        None => lanes.for_each(|l| plane[dst + l] = plane[src + l]),
+    }
+}
+
+/// `cells[d] = f(cells[a], cells[b])` across `lanes` (rows already scaled
+/// by the lane count).
+#[inline(always)]
+fn map2(
+    cells: &mut [u64],
+    lanes: impl LaneSet,
+    (d, a, b): (usize, usize, usize),
+    f: impl Fn(u64, u64) -> u64,
+) {
+    if let Some((lo, hi)) = lanes.dense() {
+        // One bounds check up front; the loop itself is then free of
+        // per-iteration checks and auto-vectorizes.
+        assert!(a.max(b).max(d) + hi <= cells.len());
+        for i in lo..hi {
+            // SAFETY: `a/b/d + i < cells.len()` per the assert above.
+            unsafe {
+                let out = f(*cells.get_unchecked(a + i), *cells.get_unchecked(b + i));
+                *cells.get_unchecked_mut(d + i) = out;
+            }
+        }
+    } else {
+        lanes.for_each(|l| cells[d + l] = f(cells[a + l], cells[b + l]));
+    }
+}
+
+/// `cells[d] = f(cells[a], cells[b], cells[c])` across `lanes`.
+#[inline(always)]
+fn map3(
+    cells: &mut [u64],
+    lanes: impl LaneSet,
+    (d, a, b, c): (usize, usize, usize, usize),
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
+    if let Some((lo, hi)) = lanes.dense() {
+        assert!(a.max(b).max(c).max(d) + hi <= cells.len());
+        for i in lo..hi {
+            // SAFETY: `a/b/c/d + i < cells.len()` per the assert above.
+            unsafe {
+                let out = f(
+                    *cells.get_unchecked(a + i),
+                    *cells.get_unchecked(b + i),
+                    *cells.get_unchecked(c + i),
+                );
+                *cells.get_unchecked_mut(d + i) = out;
+            }
+        }
+    } else {
+        lanes.for_each(|l| cells[d + l] = f(cells[a + l], cells[b + l], cells[c + l]));
+    }
+}
+
+/// Lift an `f64` binary op to register cells.
+#[inline(always)]
+fn f64s(f: impl Fn(f64, f64) -> f64) -> impl Fn(u64, u64) -> u64 {
+    move |x, y| f(f64::from_bits(x), f64::from_bits(y)).to_bits()
+}
+
+/// Wrapping integer add, sub or mul (`op`) across `lanes`, computed at
+/// 64 bits and stored through `wrap`.
+#[inline(always)]
+fn int_arith(
+    cells: &mut [u64],
+    lanes: impl LaneSet,
+    rows: (usize, usize, usize),
+    op: BinOp,
+    wrap: impl Fn(i64) -> u64 + Copy,
+) {
+    let f = move |g: fn(i64, i64) -> i64| move |x: u64, y: u64| wrap(g(x as i64, y as i64));
+    match op {
+        BinOp::Add => map2(cells, lanes, rows, f(i64::wrapping_add)),
+        BinOp::Sub => map2(cells, lanes, rows, f(i64::wrapping_sub)),
+        BinOp::Mul => map2(cells, lanes, rows, f(i64::wrapping_mul)),
+        other => unreachable!("{other:?} is not wrapping add/sub/mul"),
+    }
+}
+
+/// Integer comparison `op` across `lanes` (0/1 result), with `widen`
+/// sign-extending a cell to `i64`.
+#[inline(always)]
+fn int_cmp(
+    cells: &mut [u64],
+    lanes: impl LaneSet,
+    rows: (usize, usize, usize),
+    op: CmpOp,
+    widen: impl Fn(u64) -> i64 + Copy,
+) {
+    let f = move |g: fn(&i64, &i64) -> bool| move |x: u64, y: u64| g(&widen(x), &widen(y)) as u64;
+    match op {
+        CmpOp::Eq => map2(cells, lanes, rows, f(i64::eq)),
+        CmpOp::Ne => map2(cells, lanes, rows, f(i64::ne)),
+        CmpOp::Lt => map2(cells, lanes, rows, f(i64::lt)),
+        CmpOp::Le => map2(cells, lanes, rows, f(i64::le)),
+        CmpOp::Gt => map2(cells, lanes, rows, f(i64::gt)),
+        CmpOp::Ge => map2(cells, lanes, rows, f(i64::ge)),
+    }
+}
+
+/// A group's program counter and the fetches each of its lanes has made
+/// this phase (lanes of a group share an identical per-phase history).
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
     pc: usize,
-    lanes: Vec<usize>,
     fetched: u64,
 }
 
-/// `true` if `lanes` is the dense range `lanes[0]..=lanes[n-1]`.
-#[inline]
-fn lanes_contiguous(lanes: &[usize]) -> bool {
-    lanes[lanes.len() - 1] - lanes[0] + 1 == lanes.len()
+/// A SIMT group: lanes in lockstep at one pc. Lane lists are always
+/// ascending (divergence partitions and trap masking both preserve
+/// order), so the group's [`LaneSet`] shape is detected in O(1).
+struct LaneGroup {
+    at: Cursor,
+    lanes: Vec<usize>,
 }
 
-/// Apply a binary f64 op across the lanes of a group, SoA cells layout.
+/// How [`LanesRun::run_group`] left its group.
+enum Exit {
+    /// Every lane retired, suspended, trapped or ran out of budget.
+    Done,
+    /// Some lanes dropped out (trap or pipe stall); the survivors go on
+    /// from `at`.
+    Narrowed { lanes: Vec<usize>, at: Cursor },
+    /// A divergent branch: the then-lanes go on from `at`, the else-lanes
+    /// from `else_pc` with the same fetch count.
+    Split { then_l: Vec<usize>, else_l: Vec<usize>, at: Cursor, else_pc: usize },
+}
+
+/// State shared by the groups of one phase.
+struct Phase<'a> {
+    mem: &'a mut dyn Memory,
+    math: &'a dyn MathLib,
+    pipes: &'a mut PipeHub,
+    /// Fetches a lane may consume before the shared budget would have
+    /// run dry even with every other lane charging nothing.
+    cap: u64,
+    /// Σ fetches of the lanes that ended the phase cleanly.
+    sum_fetches: u64,
+    /// A lane trapped, stalled or overran `cap`: settlement takes the
+    /// serial replay.
+    any_bad: bool,
+    trapped: Vec<(usize, ExecError)>,
+    /// Reusable lane vectors: the steady state allocates nothing.
+    pool: Vec<Vec<usize>>,
+}
+
+/// Continue (`None`) when every lane survived the op at `at`, else the
+/// group's exit.
 #[inline(always)]
-fn lanes_f64_bin(
-    cells: &mut [u64],
-    w: usize,
-    lanes: &[usize],
-    dst: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(f64, f64) -> f64,
-) {
-    let (a, b, d) = (a as usize * w, b as usize * w, dst as usize * w);
-    if lanes_contiguous(lanes) {
-        let (lo, n) = (lanes[0], lanes.len());
-        let hi = lo + n;
-        // One bounds check up front; the loop itself is then free of
-        // per-iteration checks and auto-vectorizes.
-        assert!(a + hi <= cells.len() && b + hi <= cells.len() && d + hi <= cells.len());
-        for i in lo..hi {
-            // SAFETY: `a/b/d + i < cells.len()` per the assert above.
-            unsafe {
-                let x = f64::from_bits(*cells.get_unchecked(a + i));
-                let y = f64::from_bits(*cells.get_unchecked(b + i));
-                *cells.get_unchecked_mut(d + i) = f(x, y).to_bits();
-            }
-        }
-    } else {
-        for &l in lanes {
-            let x = f64::from_bits(cells[a + l]);
-            let y = f64::from_bits(cells[b + l]);
-            cells[d + l] = f(x, y).to_bits();
-        }
+fn narrowed(kept: Kept, at: Cursor) -> Option<Exit> {
+    match kept {
+        Kept::All => None,
+        Kept::Nothing => Some(Exit::Done),
+        Kept::Part(lanes) => Some(Exit::Narrowed { lanes, at: Cursor { pc: at.pc + 1, ..at } }),
     }
 }
 
-/// Apply a binary wrapping-i64 op across the lanes of a group.
-#[inline(always)]
-fn lanes_i64_bin(
-    cells: &mut [u64],
-    w: usize,
-    lanes: &[usize],
-    dst: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(i64, i64) -> i64,
-) {
-    let (a, b, d) = (a as usize * w, b as usize * w, dst as usize * w);
-    if lanes_contiguous(lanes) {
-        let (lo, n) = (lanes[0], lanes.len());
-        let hi = lo + n;
-        assert!(a + hi <= cells.len() && b + hi <= cells.len() && d + hi <= cells.len());
-        for i in lo..hi {
-            // SAFETY: `a/b/d + i < cells.len()` per the assert above.
-            unsafe {
-                *cells.get_unchecked_mut(d + i) =
-                    f(*cells.get_unchecked(a + i) as i64, *cells.get_unchecked(b + i) as i64)
-                        as u64;
-            }
-        }
-    } else {
-        for &l in lanes {
-            cells[d + l] = f(cells[a + l] as i64, cells[b + l] as i64) as u64;
-        }
-    }
-}
-
-/// Apply an i64 comparison across the lanes of a group (0/1 result).
-#[inline(always)]
-fn lanes_i64_cmp(
-    cells: &mut [u64],
-    w: usize,
-    lanes: &[usize],
-    dst: u32,
-    a: u32,
-    b: u32,
-    f: impl Fn(i64, i64) -> bool,
-) {
-    let (a, b, d) = (a as usize * w, b as usize * w, dst as usize * w);
-    if lanes_contiguous(lanes) {
-        let (lo, n) = (lanes[0], lanes.len());
-        let hi = lo + n;
-        assert!(a + hi <= cells.len() && b + hi <= cells.len() && d + hi <= cells.len());
-        for i in lo..hi {
-            // SAFETY: `a/b/d + i < cells.len()` per the assert above.
-            unsafe {
-                *cells.get_unchecked_mut(d + i) =
-                    f(*cells.get_unchecked(a + i) as i64, *cells.get_unchecked(b + i) as i64)
-                        as u64;
-            }
-        }
-    } else {
-        for &l in lanes {
-            cells[d + l] = f(cells[a + l] as i64, cells[b + l] as i64) as u64;
-        }
-    }
-}
-
-/// Lane-vectorized execution of one work-group over a [`CompiledKernel`].
+/// Lane-vectorized execution of one work-group over a
+/// [`CompiledKernel`] — the compiled engine.
 ///
-/// Where [`BytecodeRun`] dispatches every op once per work-item,
 /// `LanesRun` keeps a structure-of-arrays register file (`W` lanes per
 /// register, bit-packed `u64` cells for scalars, a parallel plane for
-/// pointers) and dispatches each op *once per SIMT group*, running its
-/// inner loop across all live lanes. Control divergence splits a group;
-/// lanes that trap or reach a barrier are masked out and their outcome
-/// recorded.
+/// the pointer-typed registers only) and dispatches each op *once per
+/// SIMT group*, running its inner loop across all live lanes. Control
+/// divergence splits a group; lanes that trap or reach a barrier are
+/// masked out and their outcome recorded. A one-lane group — every
+/// single-work-item pipe task — runs the same op bodies compiled for a
+/// single lane (see [`LaneSet`]), and private memory is read and written
+/// in place in each lane's arena.
 ///
-/// Observational parity with the serial engines is maintained by
+/// Observational parity with the tree-walker is maintained by
 /// construction:
 ///
 /// - per-op statistics are charged once per executing lane, and the
@@ -1234,14 +1072,14 @@ fn lanes_i64_cmp(
 ///   per-lane fetch counts in work-item order — so `StepLimitExceeded`
 ///   vs. a real trap resolves exactly as in serial execution;
 /// - argument binding, trap payloads, barrier divergence positions and
-///   the barrier-release protocol are shared with / mirrored from
-///   [`BytecodeRun`].
+///   the barrier-release protocol mirror
+///   [`crate::interp::WorkGroupRun`].
 ///
 /// The one caveat is failed launches: lanes past a trapping work-item
 /// may already have executed (and written memory) in lockstep, where the
-/// serial engines would have stopped. Error values and successful runs
-/// are bit-identical for race-free kernels; partially-written buffers of
-/// a *failed* launch are not part of the contract on any engine.
+/// walker would have stopped. Error values and successful runs are
+/// bit-identical for race-free kernels; partially-written buffers of a
+/// *failed* launch are not part of the contract on any engine.
 pub struct LanesRun<'k> {
     kernel: &'k CompiledKernel,
     shape: GroupShape,
@@ -1249,12 +1087,13 @@ pub struct LanesRun<'k> {
     w: usize,
     /// Scalar register cells, SoA: register `r` of lane `l` is at `r*w + l`.
     cells: Vec<u64>,
-    /// Pointer registers, same indexing.
+    /// Pointer registers, SoA by pointer slot: pointer register `r` of
+    /// lane `l` is at `ptr_slot[r]*w + l`.
     ptrs: Vec<PtrValue>,
     /// Per-lane private arenas, stride `private_bytes`.
     private: Vec<u8>,
     lid: Vec<[usize; 3]>,
-    status: Vec<BcStatus>,
+    status: Vec<LaneStatus>,
     pc: Vec<usize>,
     stats: ExecStats,
     steps: u64,
@@ -1263,19 +1102,19 @@ pub struct LanesRun<'k> {
     /// lane that stalled against the fetch cap). Scratch, valid for the
     /// lanes that ran the phase only.
     lane_fetches: Vec<u64>,
-    /// Reusable group worklist and lane-vector pool: the steady state
-    /// of a phase allocates nothing.
+    /// Reusable group worklist and lane-vector pool.
     group_stack: Vec<LaneGroup>,
     lane_pool: Vec<Vec<usize>>,
 }
 
 impl<'k> LanesRun<'k> {
-    /// Prepare a lane-vectorized run. Same contract (and error messages)
-    /// as [`BytecodeRun::new`].
+    /// Prepare a run of `kernel` for the group described by `shape`, with
+    /// kernel arguments `args`. `step_limit` of 0 selects
+    /// [`DEFAULT_STEP_LIMIT`].
     ///
     /// # Errors
-    /// Returns [`ExecError::BadArgs`] if `args` does not match the
-    /// kernel signature.
+    /// Returns [`ExecError::BadArgs`] if `args` does not match the kernel
+    /// signature (same messages as the tree-walker).
     pub fn new(
         kernel: &'k CompiledKernel,
         shape: GroupShape,
@@ -1285,21 +1124,21 @@ impl<'k> LanesRun<'k> {
         check_pipe_shape(&kernel.name, &kernel.params, &shape)?;
         let bound = bind_args(kernel, args)?;
         let w = shape.items_per_group();
-        let nregs = kernel.reg_types.len();
         // Zero cells are the zero-init of every scalar type (false, 0,
         // 0.0); pointer registers start at the poison buffer id.
-        let mut cells = vec![0u64; nregs * w];
-        let mut ptrs = Vec::with_capacity(nregs * w);
+        let mut cells = vec![0u64; kernel.reg_types.len() * w];
+        let mut ptrs = Vec::with_capacity(kernel.ptr_regs * w);
         for ty in &kernel.reg_types {
-            let p = match ty {
-                Type::Ptr(space, _) => PtrValue::new(*space, u32::MAX),
-                Type::Scalar(_) => PtrValue::new(AddressSpace::Private, u32::MAX),
-            };
-            ptrs.extend(std::iter::repeat_n(p, w));
+            if let Type::Ptr(space, _) = ty {
+                ptrs.extend(std::iter::repeat_n(PtrValue::new(*space, u32::MAX), w));
+            }
         }
         for (r, v) in bound.iter().enumerate() {
             match *v {
-                Value::Ptr(p) => ptrs[r * w..(r + 1) * w].fill(p),
+                Value::Ptr(p) => {
+                    let s = kernel.ptr_slot[r] as usize * w;
+                    ptrs[s..s + w].fill(p);
+                }
                 v => cells[r * w..(r + 1) * w].fill(encode_scalar(v)),
             }
         }
@@ -1314,7 +1153,7 @@ impl<'k> LanesRun<'k> {
             ptrs,
             private: vec![0; kernel.private_bytes * w],
             lid: (0..w).map(|i| shape.local_id(i)).collect(),
-            status: vec![BcStatus::Running; w],
+            status: vec![LaneStatus::Running; w],
             pc: vec![0; w],
             stats,
             steps: 0,
@@ -1341,8 +1180,7 @@ impl<'k> LanesRun<'k> {
     ///
     /// # Errors
     /// Propagates memory errors, traps, barrier divergence and
-    /// step-limit exhaustion, with the same payloads as the serial
-    /// engines.
+    /// step-limit exhaustion, with the same payloads as the tree-walker.
     pub fn run(&mut self, mem: &mut dyn Memory, math: &dyn MathLib) -> Result<(), ExecError> {
         let mut pipes = PipeHub::default();
         match self.run_resumable(mem, math, &mut pipes)? {
@@ -1359,38 +1197,37 @@ impl<'k> LanesRun<'k> {
     ///
     /// # Errors
     /// Propagates memory errors, traps, barrier divergence and
-    /// step-limit exhaustion, with the same payloads as the serial
-    /// engines.
+    /// step-limit exhaustion, with the same payloads as the tree-walker.
     pub fn run_resumable(
         &mut self,
         mem: &mut dyn Memory,
         math: &dyn MathLib,
         pipes: &mut PipeHub,
     ) -> Result<RunOutcome, ExecError> {
-        // `running` is exactly the set of `BcStatus::Running` lanes at
+        // `running` is exactly the set of `LaneStatus::Running` lanes at
         // the top of each iteration: initially every lane (or, on a
         // resume, the lanes suspended at pipes), then the
         // barrier-released survivors of the previous phase — so the
         // live-set update only inspects lanes that ran, not all of `w`.
         let mut running: Vec<usize> = (0..self.w)
-            .filter(|&i| matches!(self.status[i], BcStatus::Running | BcStatus::AtPipe))
+            .filter(|&i| matches!(self.status[i], LaneStatus::Running | LaneStatus::AtPipe))
             .collect();
-        let mut live: Vec<usize> = Vec::with_capacity(self.w);
+        let mut live: Vec<usize> = Vec::with_capacity(running.len());
         loop {
             let any_running = !running.is_empty();
             if any_running {
                 self.stats.item_phases += running.len() as u64;
                 for &l in &running {
-                    self.status[l] = BcStatus::Running;
+                    self.status[l] = LaneStatus::Running;
                 }
                 self.run_phase(&running, mem, math, pipes)?;
             }
             live.clear();
-            live.extend(running.iter().copied().filter(|&i| self.status[i] != BcStatus::Done));
+            live.extend(running.iter().copied().filter(|&i| self.status[i] != LaneStatus::Done));
             if live.is_empty() {
                 return Ok(RunOutcome::Complete);
             }
-            if live.iter().any(|&i| self.status[i] == BcStatus::AtPipe) {
+            if live.iter().any(|&i| self.status[i] == LaneStatus::AtPipe) {
                 // A stalled pipe op cannot be released locally; hand
                 // control back to the co-scheduler.
                 return Ok(RunOutcome::Stalled);
@@ -1409,12 +1246,14 @@ impl<'k> LanesRun<'k> {
                 }
             }
             if !any_running {
+                // Defensive: should be unreachable, barrier release below
+                // always makes progress.
                 return Err(ExecError::Trap("scheduler made no progress".into()));
             }
             self.stats.barriers += 1;
             for &i in &live {
                 self.pc[i] += 1;
-                self.status[i] = BcStatus::Running;
+                self.status[i] = LaneStatus::Running;
             }
             std::mem::swap(&mut running, &mut live);
         }
@@ -1423,10 +1262,10 @@ impl<'k> LanesRun<'k> {
     /// Execute one phase (all running lanes until barrier/retire/trap)
     /// as a worklist of lockstep groups, then settle the step budget.
     ///
-    /// The steady state allocates nothing: the group worklist and the
-    /// lane vectors are pooled on `self`, per-lane outcomes live in
-    /// `self.lane_fetches`, and traps/stalls (rare) divert settlement to
-    /// a serial replay in work-item order.
+    /// Each group runs through [`LanesRun::run_group`] compiled for its
+    /// shape — one lane, a dense range or a sparse list — and comes back
+    /// here only when it ends or changes shape. Traps and stalls (rare)
+    /// divert settlement to a serial replay in work-item order.
     fn run_phase(
         &mut self,
         running: &[usize],
@@ -1434,720 +1273,67 @@ impl<'k> LanesRun<'k> {
         math: &dyn MathLib,
         pipes: &mut PipeHub,
     ) -> Result<(), ExecError> {
-        let kernel = self.kernel;
-        let w = self.w;
-        let pb = kernel.private_bytes;
-        let idx = |r: u32, l: usize| r as usize * w + l;
-        // Fetches a lane may consume before the shared budget would have
-        // run dry even with every other lane charging nothing.
         let budget = self.step_limit - self.steps;
-        let cap = budget.saturating_add(1);
         let start_pc = self.pc[running[0]];
         debug_assert!(running.iter().all(|&l| self.pc[l] == start_pc));
+        let mut cx = Phase {
+            mem,
+            math,
+            pipes,
+            cap: budget.saturating_add(1),
+            sum_fetches: 0,
+            any_bad: false,
+            trapped: Vec::new(),
+            pool: std::mem::take(&mut self.lane_pool),
+        };
         let mut groups = std::mem::take(&mut self.group_stack);
-        let mut pool = std::mem::take(&mut self.lane_pool);
-        let mut first = pool.pop().unwrap_or_default();
+        let mut first = cx.pool.pop().unwrap_or_default();
         first.clear();
         first.extend_from_slice(running);
-        groups.push(LaneGroup { pc: start_pc, lanes: first, fetched: 0 });
-        // Σ fetches of completed lanes; traps and stalls flip `any_bad`
-        // so settlement takes the serial replay instead.
-        let mut sum_fetches: u64 = 0;
-        let mut any_bad = false;
-        let mut trapped: Vec<(usize, ExecError)> = Vec::new();
+        groups.push(LaneGroup { at: Cursor { pc: start_pc, fetched: 0 }, lanes: first });
 
-        'groups: while let Some(mut g) = groups.pop() {
+        while let Some(mut g) = groups.pop() {
             loop {
-                g.fetched += 1;
-                if g.fetched > cap {
-                    any_bad = true;
-                    for &l in &g.lanes {
-                        self.lane_fetches[l] = u64::MAX;
+                let (n, lo) = (g.lanes.len(), g.lanes[0]);
+                let exit = if n == 1 {
+                    self.run_group(&mut cx, g.at, One(lo))
+                } else if g.lanes[n - 1] - lo + 1 == n {
+                    self.run_group(&mut cx, g.at, Dense { lo, hi: lo + n })
+                } else {
+                    self.run_group(&mut cx, g.at, Sparse(&g.lanes))
+                };
+                match exit {
+                    Exit::Done => {
+                        cx.pool.push(g.lanes);
+                        break;
                     }
-                    pool.push(std::mem::take(&mut g.lanes));
-                    continue 'groups;
-                }
-                let nl = g.lanes.len() as u64;
-                match &kernel.code[g.pc] {
-                    Op::Const { dst, idx: ci } => {
-                        let contig = lanes_contiguous(&g.lanes);
-                        let (d, lo, n) = (*dst as usize * w, g.lanes[0], g.lanes.len());
-                        match kernel.consts[*ci as usize] {
-                            Value::Ptr(p) => {
-                                if contig {
-                                    self.ptrs[d + lo..d + lo + n].fill(p);
-                                } else {
-                                    for &l in &g.lanes {
-                                        self.ptrs[d + l] = p;
-                                    }
-                                }
-                            }
-                            v => {
-                                let bits = encode_scalar(v);
-                                if contig {
-                                    self.cells[d + lo..d + lo + n].fill(bits);
-                                } else {
-                                    for &l in &g.lanes {
-                                        self.cells[d + l] = bits;
-                                    }
-                                }
-                            }
-                        }
+                    Exit::Narrowed { lanes, at } => {
+                        cx.pool.push(std::mem::replace(&mut g.lanes, lanes));
+                        g.at = at;
                     }
-                    Op::Mov { dst, src } => {
-                        let (d, s) = (*dst as usize * w, *src as usize * w);
-                        if lanes_contiguous(&g.lanes) {
-                            // Register rows are disjoint (or identical, for
-                            // a no-op mov), so the dense case is a memmove
-                            // on both planes.
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            self.cells.copy_within(s + lo..s + lo + n, d + lo);
-                            self.ptrs.copy_within(s + lo..s + lo + n, d + lo);
-                        } else {
-                            for &l in &g.lanes {
-                                self.cells[d + l] = self.cells[s + l];
-                                self.ptrs[d + l] = self.ptrs[s + l];
-                            }
-                        }
-                        self.stats.ops.mov += nl;
-                    }
-                    Op::AddF64 { dst, a, b } => {
-                        lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x + y);
-                        self.stats.ops.add64 += nl;
-                    }
-                    Op::SubF64 { dst, a, b } => {
-                        lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x - y);
-                        self.stats.ops.add64 += nl;
-                    }
-                    Op::MulF64 { dst, a, b } => {
-                        lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x * y);
-                        self.stats.ops.mul64 += nl;
-                    }
-                    Op::DivF64 { dst, a, b } => {
-                        lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, |x, y| x / y);
-                        self.stats.ops.div64 += nl;
-                    }
-                    Op::MinF64 { dst, a, b } => {
-                        lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, f64::min);
-                        self.stats.ops.minmax64 += nl;
-                    }
-                    Op::MaxF64 { dst, a, b } => {
-                        lanes_f64_bin(&mut self.cells, w, &g.lanes, *dst, *a, *b, f64::max);
-                        self.stats.ops.minmax64 += nl;
-                    }
-                    Op::AddI64 { dst, a, b } => {
-                        lanes_i64_bin(
-                            &mut self.cells,
-                            w,
-                            &g.lanes,
-                            *dst,
-                            *a,
-                            *b,
-                            i64::wrapping_add,
-                        );
-                        self.stats.ops.int_alu += nl;
-                    }
-                    Op::MulAddF64 { dst, a, b, c, c_first } => {
-                        // Second step for the fused add.
-                        g.fetched += 1;
-                        if g.fetched > cap {
-                            any_bad = true;
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = u64::MAX;
-                            }
-                            pool.push(std::mem::take(&mut g.lanes));
-                            continue 'groups;
-                        }
-                        let (ai, bi, ci, di) =
-                            (*a as usize * w, *b as usize * w, *c as usize * w, *dst as usize * w);
-                        let cf = *c_first;
-                        let fma = |cells: &mut [u64], i: usize| {
-                            let x = f64::from_bits(cells[ai + i]);
-                            let y = f64::from_bits(cells[bi + i]);
-                            let cv = f64::from_bits(cells[ci + i]);
-                            let prod = x * y;
-                            // Same operand-order contract as the scalar engine.
-                            #[allow(clippy::if_same_then_else)]
-                            let out = if cf { cv + prod } else { prod + cv };
-                            cells[di + i] = out.to_bits();
-                        };
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            for i in lo..lo + n {
-                                fma(&mut self.cells, i);
-                            }
-                        } else {
-                            for &l in &g.lanes {
-                                fma(&mut self.cells, l);
-                            }
-                        }
-                        self.stats.ops.mul64 += nl;
-                        self.stats.ops.add64 += nl;
-                    }
-                    Op::ChargeMov => {
-                        self.stats.ops.mov += nl;
-                    }
-                    Op::Bin { op, ty, dst, a, b } => {
-                        // Wrapping i64 arithmetic inline (index/counter
-                        // math of hot loops); other trap-free shapes per
-                        // lane through the shared evaluator; only the
-                        // trapping shapes (integer div/rem and
-                        // verifier-rejected combinations) pay the
-                        // survivor bookkeeping.
-                        if *ty == ScalarType::I64
-                            && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
-                        {
-                            let c = &mut self.cells;
-                            let (ls, d, a, b) = (&g.lanes[..], *dst, *a, *b);
-                            match op {
-                                BinOp::Add => lanes_i64_bin(c, w, ls, d, a, b, i64::wrapping_add),
-                                BinOp::Sub => lanes_i64_bin(c, w, ls, d, a, b, i64::wrapping_sub),
-                                _ => lanes_i64_bin(c, w, ls, d, a, b, i64::wrapping_mul),
-                            }
-                            self.stats.ops.int_alu += nl;
-                        } else {
-                            let trap_free = if ty.is_float() {
-                                matches!(
-                                    op,
-                                    BinOp::Add
-                                        | BinOp::Sub
-                                        | BinOp::Mul
-                                        | BinOp::Div
-                                        | BinOp::Rem
-                                        | BinOp::Min
-                                        | BinOp::Max
-                                )
-                            } else if *ty == ScalarType::Bool {
-                                matches!(op, BinOp::And | BinOp::Or | BinOp::Xor)
-                            } else {
-                                !matches!(op, BinOp::Div | BinOp::Rem)
-                            };
-                            if trap_free {
-                                for &l in &g.lanes {
-                                    let va = decode_scalar(*ty, self.cells[idx(*a, l)]);
-                                    let vb = decode_scalar(*ty, self.cells[idx(*b, l)]);
-                                    let out = eval_bin(*op, *ty, va, vb).expect("trap-free bin op");
-                                    self.cells[idx(*dst, l)] = encode_scalar(out);
-                                }
-                                self.stats.ops.count_bins(*op, *ty, nl);
-                            } else {
-                                let mut survivors = pool.pop().unwrap_or_default();
-                                survivors.clear();
-                                for &l in &g.lanes {
-                                    let va = decode_scalar(*ty, self.cells[idx(*a, l)]);
-                                    let vb = decode_scalar(*ty, self.cells[idx(*b, l)]);
-                                    match eval_bin(*op, *ty, va, vb) {
-                                        Ok(out) => {
-                                            self.stats.ops.count_bin(*op, *ty);
-                                            self.cells[idx(*dst, l)] = encode_scalar(out);
-                                            survivors.push(l);
-                                        }
-                                        Err(msg) => {
-                                            any_bad = true;
-                                            self.lane_fetches[l] = g.fetched;
-                                            trapped.push((l, ExecError::Trap(msg)));
-                                        }
-                                    }
-                                }
-                                pool.push(std::mem::replace(&mut g.lanes, survivors));
-                                if g.lanes.is_empty() {
-                                    pool.push(std::mem::take(&mut g.lanes));
-                                    continue 'groups;
-                                }
-                            }
-                        }
-                    }
-                    Op::Un { op, ty, dst, a } => {
-                        for &l in &g.lanes {
-                            let out = eval_un(*op, *ty, decode_scalar(*ty, self.cells[idx(*a, l)]));
-                            self.cells[idx(*dst, l)] = encode_scalar(out);
-                        }
-                        self.stats.ops.int_alu += nl;
-                    }
-                    Op::Cmp { op, ty, dst, a, b } => {
-                        if *ty == ScalarType::I64 {
-                            let c = &mut self.cells;
-                            let (ls, d, a, b) = (&g.lanes[..], *dst, *a, *b);
-                            match op {
-                                CmpOp::Eq => lanes_i64_cmp(c, w, ls, d, a, b, |x, y| x == y),
-                                CmpOp::Ne => lanes_i64_cmp(c, w, ls, d, a, b, |x, y| x != y),
-                                CmpOp::Lt => lanes_i64_cmp(c, w, ls, d, a, b, |x, y| x < y),
-                                CmpOp::Le => lanes_i64_cmp(c, w, ls, d, a, b, |x, y| x <= y),
-                                CmpOp::Gt => lanes_i64_cmp(c, w, ls, d, a, b, |x, y| x > y),
-                                CmpOp::Ge => lanes_i64_cmp(c, w, ls, d, a, b, |x, y| x >= y),
-                            }
-                        } else {
-                            for &l in &g.lanes {
-                                let va = decode_scalar(*ty, self.cells[idx(*a, l)]);
-                                let vb = decode_scalar(*ty, self.cells[idx(*b, l)]);
-                                self.cells[idx(*dst, l)] = eval_cmp(*op, *ty, va, vb) as u64;
-                            }
-                        }
-                        self.stats.ops.cmp += nl;
-                    }
-                    Op::Select { ty: _, dst, cond, a, b } => {
-                        let (d, c, ar, br) = (
-                            *dst as usize * w,
-                            *cond as usize * w,
-                            *a as usize * w,
-                            *b as usize * w,
-                        );
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            for i in lo..lo + n {
-                                self.cells[d + i] = if self.cells[c + i] != 0 {
-                                    self.cells[ar + i]
-                                } else {
-                                    self.cells[br + i]
-                                };
-                            }
-                        } else {
-                            for &l in &g.lanes {
-                                let src = if self.cells[c + l] != 0 { ar } else { br };
-                                self.cells[d + l] = self.cells[src + l];
-                            }
-                        }
-                        self.stats.ops.select += nl;
-                    }
-                    Op::Cast { dst, a, from, to } => {
-                        if (*from, *to) == (ScalarType::I64, ScalarType::F64) {
-                            for &l in &g.lanes {
-                                let x = self.cells[idx(*a, l)] as i64;
-                                self.cells[idx(*dst, l)] = (x as f64).to_bits();
-                            }
-                        } else {
-                            for &l in &g.lanes {
-                                let v = decode_scalar(*from, self.cells[idx(*a, l)]);
-                                self.cells[idx(*dst, l)] = encode_scalar(eval_cast(v, *from, *to));
-                            }
-                        }
-                        self.stats.ops.cast += nl;
-                    }
-                    Op::Call1 { func, ty, dst, a } => {
-                        for &l in &g.lanes {
-                            let x = decode_scalar(*ty, self.cells[idx(*a, l)]).as_f64();
-                            let out = if *ty == ScalarType::F32 {
-                                let x32 = x as f32;
-                                (match func {
-                                    Builtin::Exp => math.exp32(x32),
-                                    Builtin::Log => math.log32(x32),
-                                    Builtin::Sqrt => math.sqrt32(x32),
-                                    Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
-                                })
-                                .to_bits() as u64
-                            } else {
-                                (match func {
-                                    Builtin::Exp => math.exp64(x),
-                                    Builtin::Log => math.log64(x),
-                                    Builtin::Sqrt => math.sqrt64(x),
-                                    Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
-                                })
-                                .to_bits()
-                            };
-                            self.stats.ops.count_builtin(*func, *ty);
-                            self.cells[idx(*dst, l)] = out;
-                        }
-                    }
-                    Op::Pow { ty, dst, a, b } => {
-                        for &l in &g.lanes {
-                            let x = decode_scalar(*ty, self.cells[idx(*a, l)]).as_f64();
-                            let y = decode_scalar(*ty, self.cells[idx(*b, l)]).as_f64();
-                            let out = if *ty == ScalarType::F32 {
-                                math.pow32(x as f32, y as f32).to_bits() as u64
-                            } else {
-                                math.pow64(x, y).to_bits()
-                            };
-                            self.stats.ops.count_builtin(Builtin::Pow, *ty);
-                            self.cells[idx(*dst, l)] = out;
-                        }
-                    }
-                    Op::WorkItem { query, dim, dst } => {
-                        let shape = &self.shape;
-                        let d = *dim as usize;
-                        for &l in &g.lanes {
-                            let out = match query {
-                                WiQuery::GlobalId => {
-                                    shape.group_id[d] * shape.local_size[d] + self.lid[l][d]
-                                }
-                                WiQuery::LocalId => self.lid[l][d],
-                                WiQuery::GroupId => shape.group_id[d],
-                                WiQuery::GlobalSize => shape.global_size[d],
-                                WiQuery::LocalSize => shape.local_size[d],
-                                WiQuery::NumGroups => shape.num_groups()[d],
-                            };
-                            self.cells[idx(*dst, l)] = out as i64 as u64;
-                        }
-                        self.stats.ops.wi_query += nl;
-                    }
-                    Op::Gep { dst, base, index, elem } => {
-                        let (d, b, x) =
-                            (*dst as usize * w, *base as usize * w, *index as usize * w);
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            for i in lo..lo + n {
-                                let off = self.cells[x + i] as i64;
-                                self.ptrs[d + i] = self.ptrs[b + i].offset_by(off, *elem);
-                            }
-                        } else {
-                            for &l in &g.lanes {
-                                let off = self.cells[x + l] as i64;
-                                self.ptrs[d + l] = self.ptrs[b + l].offset_by(off, *elem);
-                            }
-                        }
-                        self.stats.ops.int_alu += nl;
-                    }
-                    Op::Load { dst, ptr, ty } => {
-                        let len = ty.size_bytes();
-                        // Resolve the buffer once for the whole group: in
-                        // race-free kernels a group's lanes nearly always
-                        // address one buffer (a uniform base plus per-lane
-                        // offsets). Lanes that miss the resolved region —
-                        // different buffer, out of bounds, bool loads (which
-                        // canonicalize through `Value`) — take the per-lane
-                        // slow path, which also produces the exact walker
-                        // error payloads.
-                        let p0 = self.ptrs[idx(*ptr, g.lanes[0])];
-                        let fast = if p0.space != AddressSpace::Private && *ty != ScalarType::Bool {
-                            mem.raw_region(p0.space, p0.buffer)
-                        } else {
-                            None
-                        };
-                        let mut k = 0;
-                        if let Some((base, rlen)) = fast {
-                            let contig = lanes_contiguous(&g.lanes);
-                            let lo = g.lanes[0];
-                            while k < g.lanes.len() {
-                                let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = self.ptrs[idx(*ptr, l)];
-                                if p.space != p0.space || p.buffer != p0.buffer {
-                                    break;
-                                }
-                                let Some(o) =
-                                    usize::try_from(p.offset).ok().filter(|o| o + len <= rlen)
-                                else {
-                                    break;
-                                };
-                                // SAFETY: `o + len <= rlen` was just checked
-                                // against the region the memory exposed;
-                                // cross-group races are excluded by the
-                                // race-freedom contract of `raw_region`.
-                                let bits = unsafe {
-                                    if len == 8 {
-                                        u64::from_le(base.add(o).cast::<u64>().read_unaligned())
-                                    } else {
-                                        let mut raw = [0u8; 8];
-                                        std::ptr::copy_nonoverlapping(
-                                            base.add(o),
-                                            raw.as_mut_ptr(),
-                                            len,
-                                        );
-                                        u64::from_le_bytes(raw)
-                                    }
-                                };
-                                self.cells[idx(*dst, l)] = bits;
-                                k += 1;
-                            }
-                            self.stats.mem.count_loads(p0.space, len, k as u64);
-                        }
-                        if k < g.lanes.len() {
-                            let mut survivors = pool.pop().unwrap_or_default();
-                            survivors.clear();
-                            survivors.extend_from_slice(&g.lanes[..k]);
-                            for &l in &g.lanes[k..] {
-                                let p = self.ptrs[idx(*ptr, l)];
-                                let res = if p.space == AddressSpace::Private {
-                                    bc_private_load(&self.private[l * pb..(l + 1) * pb], p, *ty)
-                                } else {
-                                    mem.load(p, *ty).map_err(ExecError::from)
-                                };
-                                match res {
-                                    Ok(v) => {
-                                        self.stats.mem.count_load(p.space, len);
-                                        self.cells[idx(*dst, l)] = encode_scalar(v);
-                                        survivors.push(l);
-                                    }
-                                    Err(err) => {
-                                        any_bad = true;
-                                        self.lane_fetches[l] = g.fetched;
-                                        trapped.push((l, err));
-                                    }
-                                }
-                            }
-                            pool.push(std::mem::replace(&mut g.lanes, survivors));
-                            if g.lanes.is_empty() {
-                                pool.push(std::mem::take(&mut g.lanes));
-                                continue 'groups;
-                            }
-                        }
-                    }
-                    Op::Store { ptr, val, ty } => {
-                        let len = ty.size_bytes();
-                        // Same single-resolution fast path as `Load`. Stores
-                        // to `__constant` memory must keep erroring, so the
-                        // constant space never takes it. Cells hold the
-                        // exact little-endian bit patterns
-                        // `Value::to_le_bytes` would produce (bool
-                        // included: cells are canonical 0/1).
-                        let p0 = self.ptrs[idx(*ptr, g.lanes[0])];
-                        let fast = if matches!(p0.space, AddressSpace::Global | AddressSpace::Local)
-                        {
-                            mem.raw_region(p0.space, p0.buffer)
-                        } else {
-                            None
-                        };
-                        let mut k = 0;
-                        if let Some((base, rlen)) = fast {
-                            let contig = lanes_contiguous(&g.lanes);
-                            let lo = g.lanes[0];
-                            while k < g.lanes.len() {
-                                let l = if contig { lo + k } else { g.lanes[k] };
-                                let p = self.ptrs[idx(*ptr, l)];
-                                if p.space != p0.space || p.buffer != p0.buffer {
-                                    break;
-                                }
-                                let Some(o) =
-                                    usize::try_from(p.offset).ok().filter(|o| o + len <= rlen)
-                                else {
-                                    break;
-                                };
-                                let bits = self.cells[idx(*val, l)];
-                                // SAFETY: bounds checked above; race-freedom
-                                // per the `raw_region` contract.
-                                unsafe {
-                                    if len == 8 {
-                                        base.add(o).cast::<u64>().write_unaligned(bits.to_le());
-                                    } else {
-                                        let raw = bits.to_le_bytes();
-                                        std::ptr::copy_nonoverlapping(
-                                            raw.as_ptr(),
-                                            base.add(o),
-                                            len,
-                                        );
-                                    }
-                                }
-                                k += 1;
-                            }
-                            self.stats.mem.count_stores(p0.space, len, k as u64);
-                        }
-                        if k < g.lanes.len() {
-                            let mut survivors = pool.pop().unwrap_or_default();
-                            survivors.clear();
-                            survivors.extend_from_slice(&g.lanes[..k]);
-                            for &l in &g.lanes[k..] {
-                                let p = self.ptrs[idx(*ptr, l)];
-                                let v = decode_scalar(*ty, self.cells[idx(*val, l)]);
-                                let res = if p.space == AddressSpace::Private {
-                                    bc_private_store(&mut self.private[l * pb..(l + 1) * pb], p, v)
-                                } else {
-                                    mem.store(p, v).map_err(ExecError::from)
-                                };
-                                match res {
-                                    Ok(()) => {
-                                        self.stats.mem.count_store(p.space, len);
-                                        survivors.push(l);
-                                    }
-                                    Err(err) => {
-                                        any_bad = true;
-                                        self.lane_fetches[l] = g.fetched;
-                                        trapped.push((l, err));
-                                    }
-                                }
-                            }
-                            pool.push(std::mem::replace(&mut g.lanes, survivors));
-                            if g.lanes.is_empty() {
-                                pool.push(std::mem::take(&mut g.lanes));
-                                continue 'groups;
-                            }
-                        }
-                    }
-                    Op::Barrier => {
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            self.lane_fetches[lo..lo + n].fill(g.fetched);
-                            self.status[lo..lo + n].fill(BcStatus::AtBarrier);
-                            self.pc[lo..lo + n].fill(g.pc);
-                        } else {
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = g.fetched;
-                                self.status[l] = BcStatus::AtBarrier;
-                                self.pc[l] = g.pc;
-                            }
-                        }
-                        sum_fetches = sum_fetches.saturating_add(g.fetched.saturating_mul(nl));
-                        pool.push(std::mem::take(&mut g.lanes));
-                        continue 'groups;
-                    }
-                    Op::PipeRead { dst, pipe, ty } => {
-                        // Pipe kernels are single-work-item tasks
-                        // (enforced at construction), so a group here is
-                        // one lane; the loop form keeps the survivor
-                        // bookkeeping uniform with the other arms.
-                        let mut survivors = pool.pop().unwrap_or_default();
-                        survivors.clear();
-                        for &l in &g.lanes {
-                            let p = self.ptrs[idx(*pipe, l)];
-                            match pipes.try_read(p.buffer, *ty) {
-                                Err(msg) => {
-                                    any_bad = true;
-                                    self.lane_fetches[l] = g.fetched;
-                                    trapped.push((l, ExecError::Trap(msg)));
-                                }
-                                Ok(None) => {
-                                    self.stats.pipe_read_stalls += 1;
-                                    self.lane_fetches[l] = g.fetched;
-                                    self.status[l] = BcStatus::AtPipe;
-                                    self.pc[l] = g.pc;
-                                    sum_fetches = sum_fetches.saturating_add(g.fetched);
-                                }
-                                Ok(Some(bits)) => {
-                                    self.stats.pipe_reads += 1;
-                                    self.cells[idx(*dst, l)] = bits;
-                                    survivors.push(l);
-                                }
-                            }
-                        }
-                        pool.push(std::mem::replace(&mut g.lanes, survivors));
-                        if g.lanes.is_empty() {
-                            pool.push(std::mem::take(&mut g.lanes));
-                            continue 'groups;
-                        }
-                    }
-                    Op::PipeWrite { pipe, val, ty } => {
-                        let mut survivors = pool.pop().unwrap_or_default();
-                        survivors.clear();
-                        for &l in &g.lanes {
-                            let p = self.ptrs[idx(*pipe, l)];
-                            let bits = self.cells[idx(*val, l)];
-                            match pipes.try_write(p.buffer, *ty, bits) {
-                                Err(msg) => {
-                                    any_bad = true;
-                                    self.lane_fetches[l] = g.fetched;
-                                    trapped.push((l, ExecError::Trap(msg)));
-                                }
-                                Ok(false) => {
-                                    self.stats.pipe_write_stalls += 1;
-                                    self.lane_fetches[l] = g.fetched;
-                                    self.status[l] = BcStatus::AtPipe;
-                                    self.pc[l] = g.pc;
-                                    sum_fetches = sum_fetches.saturating_add(g.fetched);
-                                }
-                                Ok(true) => {
-                                    self.stats.pipe_writes += 1;
-                                    survivors.push(l);
-                                }
-                            }
-                        }
-                        pool.push(std::mem::replace(&mut g.lanes, survivors));
-                        if g.lanes.is_empty() {
-                            pool.push(std::mem::take(&mut g.lanes));
-                            continue 'groups;
-                        }
-                    }
-                    Op::Jump { target, block } => {
-                        self.stats.block_execs[*block as usize] += nl;
-                        g.pc = *target as usize;
-                        continue;
-                    }
-                    Op::JumpThread { target, mid_block, block } => {
-                        // Second step for the threaded-through jump.
-                        g.fetched += 1;
-                        if g.fetched > cap {
-                            any_bad = true;
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = u64::MAX;
-                            }
-                            pool.push(std::mem::take(&mut g.lanes));
-                            continue 'groups;
-                        }
-                        self.stats.block_execs[*mid_block as usize] += nl;
-                        self.stats.block_execs[*block as usize] += nl;
-                        g.pc = *target as usize;
-                        continue;
-                    }
-                    Op::Branch { cond, then_target, then_block, else_target, else_block } => {
-                        // Uniform branches (the common case) redirect the
-                        // whole group without copying lanes.
-                        let c = *cond as usize * w;
-                        let first = self.cells[c + g.lanes[0]] != 0;
-                        let mut split = g.lanes.len();
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            for (k, i) in (lo + 1..lo + n).enumerate() {
-                                if (self.cells[c + i] != 0) != first {
-                                    split = k + 1;
-                                    break;
-                                }
-                            }
-                        } else {
-                            for (k, &l) in g.lanes.iter().enumerate().skip(1) {
-                                if (self.cells[c + l] != 0) != first {
-                                    split = k;
-                                    break;
-                                }
-                            }
-                        }
-                        if split == g.lanes.len() {
-                            let (block, target) = if first {
-                                (*then_block, *then_target)
-                            } else {
-                                (*else_block, *else_target)
-                            };
-                            self.stats.block_execs[block as usize] += nl;
-                            g.pc = target as usize;
-                            continue;
-                        }
-                        let mut then_l = pool.pop().unwrap_or_default();
-                        then_l.clear();
-                        let mut else_l = pool.pop().unwrap_or_default();
-                        else_l.clear();
-                        for &l in &g.lanes {
-                            if self.cells[idx(*cond, l)] != 0 {
-                                then_l.push(l);
-                            } else {
-                                else_l.push(l);
-                            }
-                        }
-                        self.stats.block_execs[*then_block as usize] += then_l.len() as u64;
-                        self.stats.block_execs[*else_block as usize] += else_l.len() as u64;
+                    Exit::Split { then_l, else_l, at, else_pc } => {
                         groups.push(LaneGroup {
-                            pc: *else_target as usize,
+                            at: Cursor { pc: else_pc, fetched: at.fetched },
                             lanes: else_l,
-                            fetched: g.fetched,
                         });
-                        pool.push(std::mem::replace(&mut g.lanes, then_l));
-                        g.pc = *then_target as usize;
-                        continue;
-                    }
-                    Op::Return => {
-                        if lanes_contiguous(&g.lanes) {
-                            let (lo, n) = (g.lanes[0], g.lanes.len());
-                            self.lane_fetches[lo..lo + n].fill(g.fetched);
-                            self.status[lo..lo + n].fill(BcStatus::Done);
-                        } else {
-                            for &l in &g.lanes {
-                                self.lane_fetches[l] = g.fetched;
-                                self.status[l] = BcStatus::Done;
-                            }
-                        }
-                        sum_fetches = sum_fetches.saturating_add(g.fetched.saturating_mul(nl));
-                        pool.push(std::mem::take(&mut g.lanes));
-                        continue 'groups;
+                        cx.pool.push(std::mem::replace(&mut g.lanes, then_l));
+                        g.at = at;
                     }
                 }
-                g.pc += 1;
             }
         }
 
         self.group_stack = groups;
-        self.lane_pool = pool;
-        if !any_bad && sum_fetches <= budget {
-            self.steps += sum_fetches;
+        self.lane_pool = std::mem::take(&mut cx.pool);
+        if !cx.any_bad && cx.sum_fetches <= budget {
+            self.steps += cx.sum_fetches;
             return Ok(());
         }
         // Serial settlement (rare): replay per-lane fetch counts in
         // work-item order against the shared budget, exactly as the
-        // serial engines interleave them — deciding `StepLimitExceeded`
-        // vs. a real trap per lane.
+        // walker interleaves them — deciding `StepLimitExceeded` vs. a
+        // real trap per lane.
+        let mut trapped = cx.trapped;
         let mut cum: u64 = 0;
         for &l in running {
             let fetches = self.lane_fetches[l];
@@ -2167,11 +1353,589 @@ impl<'k> LanesRun<'k> {
         self.steps += cum;
         Ok(())
     }
+
+    /// Row of pointer register `r` in the pointer plane.
+    #[inline(always)]
+    fn prow(&self, r: u32) -> usize {
+        self.kernel.ptr_slot[r as usize] as usize * self.w
+    }
+
+    /// Mark every lane of the group as having overrun the fetch cap.
+    fn out_of_budget(&mut self, cx: &mut Phase<'_>, lanes: impl LaneSet) -> Exit {
+        cx.any_bad = true;
+        lanes.for_each(|l| self.lane_fetches[l] = u64::MAX);
+        Exit::Done
+    }
+
+    /// End the group's phase cleanly: every lane retires or suspends at
+    /// the barrier at `at.pc`.
+    fn finish(
+        &mut self,
+        cx: &mut Phase<'_>,
+        lanes: impl LaneSet,
+        at: Cursor,
+        status: LaneStatus,
+    ) -> Exit {
+        match lanes.dense() {
+            Some((lo, hi)) => {
+                self.lane_fetches[lo..hi].fill(at.fetched);
+                self.status[lo..hi].fill(status);
+                self.pc[lo..hi].fill(at.pc);
+            }
+            None => lanes.for_each(|l| {
+                self.lane_fetches[l] = at.fetched;
+                self.status[l] = status;
+                self.pc[l] = at.pc;
+            }),
+        }
+        let n = lanes.len() as u64;
+        cx.sum_fetches = cx.sum_fetches.saturating_add(at.fetched.saturating_mul(n));
+        Exit::Done
+    }
+
+    /// Run one lockstep group from `at` until every lane has left the
+    /// phase or the group changes shape (lanes dropped, or a divergent
+    /// branch). The cursor lives in registers for the whole run and
+    /// leaves only through the returned [`Exit`].
+    fn run_group<L: LaneSet>(&mut self, cx: &mut Phase<'_>, at: Cursor, lanes: L) -> Exit {
+        let kernel = self.kernel;
+        let w = self.w;
+        let pb = kernel.private_bytes;
+        let n = lanes.len() as u64;
+        let row = |r: u32| r as usize * w;
+        let mut at = at;
+        loop {
+            at.fetched += 1;
+            if at.fetched > cx.cap {
+                return self.out_of_budget(cx, lanes);
+            }
+            match &kernel.code[at.pc] {
+                Op::Const { dst, idx } => match kernel.consts[*idx as usize] {
+                    Value::Ptr(p) => {
+                        let d = self.prow(*dst);
+                        fill_lanes(&mut self.ptrs, d, lanes, p);
+                    }
+                    v => fill_lanes(&mut self.cells, row(*dst), lanes, encode_scalar(v)),
+                },
+                Op::Mov { dst, src } => {
+                    if kernel.ptr_slot[*dst as usize] != u32::MAX {
+                        let (s, d) = (self.prow(*src), self.prow(*dst));
+                        copy_lanes(&mut self.ptrs, s, d, lanes);
+                    } else {
+                        copy_lanes(&mut self.cells, row(*src), row(*dst), lanes);
+                    }
+                    self.stats.ops.mov += n;
+                }
+                Op::AddF64 { dst, a, b } => {
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), f64s(|x, y| x + y));
+                    self.stats.ops.add64 += n;
+                }
+                Op::SubF64 { dst, a, b } => {
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), f64s(|x, y| x - y));
+                    self.stats.ops.add64 += n;
+                }
+                Op::MulF64 { dst, a, b } => {
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), f64s(|x, y| x * y));
+                    self.stats.ops.mul64 += n;
+                }
+                Op::DivF64 { dst, a, b } => {
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), f64s(|x, y| x / y));
+                    self.stats.ops.div64 += n;
+                }
+                Op::MinF64 { dst, a, b } => {
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), f64s(f64::min));
+                    self.stats.ops.minmax64 += n;
+                }
+                Op::MaxF64 { dst, a, b } => {
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), f64s(f64::max));
+                    self.stats.ops.minmax64 += n;
+                }
+                Op::AddI64 { dst, a, b } => {
+                    let rows = (row(*dst), row(*a), row(*b));
+                    int_arith(&mut self.cells, lanes, rows, BinOp::Add, |v| v as u64);
+                    self.stats.ops.int_alu += n;
+                }
+                Op::MulAddF64 { dst, a, b, c, c_first } => {
+                    // Second step for the fused add.
+                    at.fetched += 1;
+                    if at.fetched > cx.cap {
+                        return self.out_of_budget(cx, lanes);
+                    }
+                    let rows = (row(*dst), row(*a), row(*b), row(*c));
+                    let cf = *c_first;
+                    map3(&mut self.cells, lanes, rows, |x, y, z| {
+                        let (prod, cv) = (f64::from_bits(x) * f64::from_bits(y), f64::from_bits(z));
+                        // Operand order mirrors the unfused source expression
+                        // so NaN payloads stay bit-identical to the walker.
+                        #[allow(clippy::if_same_then_else)]
+                        let out = if cf { cv + prod } else { prod + cv };
+                        out.to_bits()
+                    });
+                    self.stats.ops.mul64 += n;
+                    self.stats.ops.add64 += n;
+                }
+                Op::ChargeMov => {
+                    self.stats.ops.mov += n;
+                }
+                Op::Bin { op, ty, dst, a, b } => {
+                    // Wrapping i64 arithmetic inline (index/counter math of
+                    // hot loops); other trap-free shapes per lane through
+                    // the shared evaluator; only the trapping shapes
+                    // (integer div/rem and verifier-rejected combinations)
+                    // can drop lanes.
+                    let (op, ty, rows) = (*op, *ty, (row(*dst), row(*a), row(*b)));
+                    let c = &mut self.cells;
+                    if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
+                        && matches!(ty, ScalarType::I32 | ScalarType::I64)
+                    {
+                        if ty == ScalarType::I64 {
+                            int_arith(c, lanes, rows, op, |v| v as u64);
+                        } else {
+                            // An `int` cell holds its zero-extended bits;
+                            // the low 32 bits of the 64-bit wrapping
+                            // result are the `i32` wrapping result.
+                            int_arith(c, lanes, rows, op, |v| v as u32 as u64);
+                        }
+                        self.stats.ops.int_alu += n;
+                        at.pc += 1;
+                        continue;
+                    }
+                    let trap_free = if ty.is_float() {
+                        matches!(
+                            op,
+                            BinOp::Add
+                                | BinOp::Sub
+                                | BinOp::Mul
+                                | BinOp::Div
+                                | BinOp::Rem
+                                | BinOp::Min
+                                | BinOp::Max
+                        )
+                    } else if ty == ScalarType::Bool {
+                        matches!(op, BinOp::And | BinOp::Or | BinOp::Xor)
+                    } else {
+                        !matches!(op, BinOp::Div | BinOp::Rem)
+                    };
+                    let (d, a, b) = rows;
+                    if trap_free {
+                        lanes.for_each(|l| {
+                            let (va, vb) =
+                                (decode_scalar(ty, c[a + l]), decode_scalar(ty, c[b + l]));
+                            c[d + l] = encode_scalar(eval_bin(op, ty, va, vb).expect("trap-free"));
+                        });
+                        self.stats.ops.count_bins(op, ty, n);
+                    } else {
+                        let (stats, fetches, fetched) =
+                            (&mut self.stats, &mut self.lane_fetches, at.fetched);
+                        let kept = lanes.retain(0, &mut cx.pool, |l| {
+                            let (va, vb) =
+                                (decode_scalar(ty, c[a + l]), decode_scalar(ty, c[b + l]));
+                            match eval_bin(op, ty, va, vb) {
+                                Ok(out) => {
+                                    stats.ops.count_bin(op, ty);
+                                    c[d + l] = encode_scalar(out);
+                                    true
+                                }
+                                Err(msg) => {
+                                    cx.any_bad = true;
+                                    fetches[l] = fetched;
+                                    cx.trapped.push((l, ExecError::Trap(msg)));
+                                    false
+                                }
+                            }
+                        });
+                        if let Some(exit) = narrowed(kept, at) {
+                            return exit;
+                        }
+                    }
+                }
+                Op::Un { op, ty, dst, a } => {
+                    let (c, d, a) = (&mut self.cells, row(*dst), row(*a));
+                    lanes.for_each(|l| {
+                        c[d + l] = encode_scalar(eval_un(*op, *ty, decode_scalar(*ty, c[a + l])));
+                    });
+                    self.stats.ops.int_alu += n;
+                }
+                Op::Cmp { op, ty, dst, a, b } => {
+                    let (c, rows, ty) = (&mut self.cells, (row(*dst), row(*a), row(*b)), *ty);
+                    match ty {
+                        ScalarType::I64 => int_cmp(c, lanes, rows, *op, |x| x as i64),
+                        ScalarType::I32 => int_cmp(c, lanes, rows, *op, |x| x as u32 as i32 as i64),
+                        _ => map2(c, lanes, rows, |x, y| {
+                            eval_cmp(*op, ty, decode_scalar(ty, x), decode_scalar(ty, y)) as u64
+                        }),
+                    }
+                    self.stats.ops.cmp += n;
+                }
+                Op::Select { ty: _, dst, cond, a, b } => {
+                    let rows = (row(*dst), row(*cond), row(*a), row(*b));
+                    map3(&mut self.cells, lanes, rows, |c, x, y| if c != 0 { x } else { y });
+                    self.stats.ops.select += n;
+                }
+                Op::Cast { dst, a, from, to } => {
+                    let (c, d, a) = (&mut self.cells, row(*dst), row(*a));
+                    if (*from, *to) == (ScalarType::I64, ScalarType::F64) {
+                        lanes.for_each(|l| c[d + l] = (c[a + l] as i64 as f64).to_bits());
+                    } else {
+                        lanes.for_each(|l| {
+                            let v = decode_scalar(*from, c[a + l]);
+                            c[d + l] = encode_scalar(eval_cast(v, *from, *to));
+                        });
+                    }
+                    self.stats.ops.cast += n;
+                }
+                Op::Call1 { func, ty, dst, a } => {
+                    let (c, d, a, math) = (&mut self.cells, row(*dst), row(*a), cx.math);
+                    lanes.for_each(|l| {
+                        let x = decode_scalar(*ty, c[a + l]).as_f64();
+                        c[d + l] = if *ty == ScalarType::F32 {
+                            let x32 = x as f32;
+                            (match func {
+                                Builtin::Exp => math.exp32(x32),
+                                Builtin::Log => math.log32(x32),
+                                Builtin::Sqrt => math.sqrt32(x32),
+                                Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
+                            })
+                            .to_bits() as u64
+                        } else {
+                            (match func {
+                                Builtin::Exp => math.exp64(x),
+                                Builtin::Log => math.log64(x),
+                                Builtin::Sqrt => math.sqrt64(x),
+                                Builtin::Pow => unreachable!("pow lowered to Op::Pow"),
+                            })
+                            .to_bits()
+                        };
+                    });
+                    self.stats.ops.count_builtins(*func, *ty, n);
+                }
+                Op::Pow { ty, dst, a, b } => {
+                    let (ty, math) = (*ty, cx.math);
+                    map2(&mut self.cells, lanes, (row(*dst), row(*a), row(*b)), |x, y| {
+                        let (x, y) = (decode_scalar(ty, x).as_f64(), decode_scalar(ty, y).as_f64());
+                        if ty == ScalarType::F32 {
+                            math.pow32(x as f32, y as f32).to_bits() as u64
+                        } else {
+                            math.pow64(x, y).to_bits()
+                        }
+                    });
+                    self.stats.ops.count_builtins(Builtin::Pow, ty, n);
+                }
+                Op::WorkItem { query, dim, dst } => {
+                    let (shape, k, d) = (&self.shape, *dim as usize, row(*dst));
+                    let (c, lid) = (&mut self.cells, &self.lid);
+                    match query {
+                        WiQuery::GlobalId => {
+                            let base = shape.group_id[k] * shape.local_size[k];
+                            lanes.for_each(|l| c[d + l] = (base + lid[l][k]) as i64 as u64);
+                        }
+                        WiQuery::LocalId => lanes.for_each(|l| c[d + l] = lid[l][k] as i64 as u64),
+                        uniform => {
+                            let v = match uniform {
+                                WiQuery::GroupId => shape.group_id[k],
+                                WiQuery::GlobalSize => shape.global_size[k],
+                                WiQuery::LocalSize => shape.local_size[k],
+                                _ => shape.num_groups()[k],
+                            };
+                            fill_lanes(c, d, lanes, v as i64 as u64);
+                        }
+                    }
+                    self.stats.ops.wi_query += n;
+                }
+                Op::Gep { dst, base, index, elem, index_ty } => {
+                    let (d, b, x) = (self.prow(*dst), self.prow(*base), row(*index));
+                    let (ptrs, cells) = (&mut self.ptrs, &self.cells);
+                    // An `int` index sign-extends, as `Value::as_i64` does.
+                    let wide = *index_ty != ScalarType::I32;
+                    lanes.for_each(|l| {
+                        let i = cells[x + l];
+                        let i = if wide { i as i64 } else { i as u32 as i32 as i64 };
+                        ptrs[d + l] = ptrs[b + l].offset_by(i, *elem);
+                    });
+                    self.stats.ops.int_alu += n;
+                }
+                Op::Load { dst, ptr, ty } => {
+                    let (ty, len, d, pr) = (*ty, ty.size_bytes(), row(*dst), self.prow(*ptr));
+                    // Resolve the access once for the whole group: in
+                    // race-free kernels a group's lanes nearly always
+                    // address one buffer (a uniform base plus per-lane
+                    // offsets), or their own private arenas. Lanes that
+                    // miss — different space or buffer, out of bounds,
+                    // bool loads from buffers (which canonicalize through
+                    // `Value`) — take the per-lane slow path, which also
+                    // produces the exact walker error payloads.
+                    let p0 = self.ptrs[pr + lanes.at(0)];
+                    let mut k = 0;
+                    if p0.space == AddressSpace::Private {
+                        while k < lanes.len() {
+                            let l = lanes.at(k);
+                            let Some(o) = private_offset(self.ptrs[pr + l], len, pb) else {
+                                break;
+                            };
+                            let bits = read_le(&self.private[l * pb + o..l * pb + o + len]);
+                            self.cells[d + l] =
+                                if ty == ScalarType::Bool { (bits != 0) as u64 } else { bits };
+                            k += 1;
+                        }
+                        self.stats.mem.count_loads(AddressSpace::Private, len, k as u64);
+                    } else if ty != ScalarType::Bool {
+                        if let Some((base, rlen)) = cx.mem.raw_region(p0.space, p0.buffer) {
+                            while k < lanes.len() {
+                                let l = lanes.at(k);
+                                let p = self.ptrs[pr + l];
+                                if p.space != p0.space || p.buffer != p0.buffer {
+                                    break;
+                                }
+                                let Some(o) =
+                                    usize::try_from(p.offset).ok().filter(|o| o + len <= rlen)
+                                else {
+                                    break;
+                                };
+                                // SAFETY: `o + len <= rlen` was just checked
+                                // against the region the memory exposed;
+                                // cross-group races are excluded by the
+                                // race-freedom contract of `raw_region`.
+                                let bits = unsafe {
+                                    read_le(std::slice::from_raw_parts(base.add(o), len))
+                                };
+                                self.cells[d + l] = bits;
+                                k += 1;
+                            }
+                            self.stats.mem.count_loads(p0.space, len, k as u64);
+                        }
+                    }
+                    if k < lanes.len() {
+                        let (cells, ptrs, private) = (&mut self.cells, &self.ptrs, &self.private);
+                        let (stats, fetches, fetched) =
+                            (&mut self.stats, &mut self.lane_fetches, at.fetched);
+                        let kept = lanes.retain(k, &mut cx.pool, |l| {
+                            let p = ptrs[pr + l];
+                            let res = if p.space == AddressSpace::Private {
+                                private_load(&private[l * pb..(l + 1) * pb], p, ty)
+                            } else {
+                                cx.mem.load(p, ty).map_err(ExecError::from)
+                            };
+                            match res {
+                                Ok(v) => {
+                                    stats.mem.count_load(p.space, len);
+                                    cells[d + l] = encode_scalar(v);
+                                    true
+                                }
+                                Err(err) => {
+                                    cx.any_bad = true;
+                                    fetches[l] = fetched;
+                                    cx.trapped.push((l, err));
+                                    false
+                                }
+                            }
+                        });
+                        if let Some(exit) = narrowed(kept, at) {
+                            return exit;
+                        }
+                    }
+                }
+                Op::Store { ptr, val, ty } => {
+                    let (ty, len, v, pr) = (*ty, ty.size_bytes(), row(*val), self.prow(*ptr));
+                    // Same single-resolution fast paths as `Load`. Cells
+                    // hold the exact little-endian bit patterns
+                    // `Value::to_le_bytes` would produce (bool included:
+                    // cells are canonical 0/1). Stores to `__constant`
+                    // memory must keep erroring, so the constant space
+                    // never takes a fast path.
+                    let p0 = self.ptrs[pr + lanes.at(0)];
+                    let mut k = 0;
+                    if p0.space == AddressSpace::Private {
+                        while k < lanes.len() {
+                            let l = lanes.at(k);
+                            let Some(o) = private_offset(self.ptrs[pr + l], len, pb) else {
+                                break;
+                            };
+                            write_le(
+                                &mut self.private[l * pb + o..l * pb + o + len],
+                                self.cells[v + l],
+                            );
+                            k += 1;
+                        }
+                        self.stats.mem.count_stores(AddressSpace::Private, len, k as u64);
+                    } else if matches!(p0.space, AddressSpace::Global | AddressSpace::Local) {
+                        if let Some((base, rlen)) = cx.mem.raw_region(p0.space, p0.buffer) {
+                            while k < lanes.len() {
+                                let l = lanes.at(k);
+                                let p = self.ptrs[pr + l];
+                                if p.space != p0.space || p.buffer != p0.buffer {
+                                    break;
+                                }
+                                let Some(o) =
+                                    usize::try_from(p.offset).ok().filter(|o| o + len <= rlen)
+                                else {
+                                    break;
+                                };
+                                // SAFETY: bounds checked above; race-freedom
+                                // per the `raw_region` contract.
+                                unsafe {
+                                    write_le(
+                                        std::slice::from_raw_parts_mut(base.add(o), len),
+                                        self.cells[v + l],
+                                    );
+                                }
+                                k += 1;
+                            }
+                            self.stats.mem.count_stores(p0.space, len, k as u64);
+                        }
+                    }
+                    if k < lanes.len() {
+                        let (cells, ptrs, private) = (&self.cells, &self.ptrs, &mut self.private);
+                        let (stats, fetches, fetched) =
+                            (&mut self.stats, &mut self.lane_fetches, at.fetched);
+                        let kept = lanes.retain(k, &mut cx.pool, |l| {
+                            let p = ptrs[pr + l];
+                            let val = decode_scalar(ty, cells[v + l]);
+                            let res = if p.space == AddressSpace::Private {
+                                private_store(&mut private[l * pb..(l + 1) * pb], p, val)
+                            } else {
+                                cx.mem.store(p, val).map_err(ExecError::from)
+                            };
+                            match res {
+                                Ok(()) => {
+                                    stats.mem.count_store(p.space, len);
+                                    true
+                                }
+                                Err(err) => {
+                                    cx.any_bad = true;
+                                    fetches[l] = fetched;
+                                    cx.trapped.push((l, err));
+                                    false
+                                }
+                            }
+                        });
+                        if let Some(exit) = narrowed(kept, at) {
+                            return exit;
+                        }
+                    }
+                }
+                Op::Barrier => return self.finish(cx, lanes, at, LaneStatus::AtBarrier),
+                Op::PipeRead { dst, pipe, ty } => {
+                    // Pipe kernels are single-work-item tasks (enforced at
+                    // construction), so this runs on `One`; a stalled lane
+                    // leaves the phase suspended at this pc.
+                    let (d, pr, ty) = (row(*dst), self.prow(*pipe), *ty);
+                    let (cells, ptrs, stats) = (&mut self.cells, &self.ptrs, &mut self.stats);
+                    let (fetches, status, pcs) =
+                        (&mut self.lane_fetches, &mut self.status, &mut self.pc);
+                    let kept = lanes.retain(0, &mut cx.pool, |l| {
+                        match cx.pipes.try_read(ptrs[pr + l].buffer, ty) {
+                            Err(msg) => {
+                                cx.any_bad = true;
+                                fetches[l] = at.fetched;
+                                cx.trapped.push((l, ExecError::Trap(msg)));
+                                false
+                            }
+                            Ok(None) => {
+                                stats.pipe_read_stalls += 1;
+                                fetches[l] = at.fetched;
+                                status[l] = LaneStatus::AtPipe;
+                                pcs[l] = at.pc;
+                                cx.sum_fetches = cx.sum_fetches.saturating_add(at.fetched);
+                                false
+                            }
+                            Ok(Some(bits)) => {
+                                stats.pipe_reads += 1;
+                                cells[d + l] = bits;
+                                true
+                            }
+                        }
+                    });
+                    if let Some(exit) = narrowed(kept, at) {
+                        return exit;
+                    }
+                }
+                Op::PipeWrite { pipe, val, ty } => {
+                    let (v, pr, ty) = (row(*val), self.prow(*pipe), *ty);
+                    let (cells, ptrs, stats) = (&self.cells, &self.ptrs, &mut self.stats);
+                    let (fetches, status, pcs) =
+                        (&mut self.lane_fetches, &mut self.status, &mut self.pc);
+                    let kept = lanes.retain(0, &mut cx.pool, |l| {
+                        match cx.pipes.try_write(ptrs[pr + l].buffer, ty, cells[v + l]) {
+                            Err(msg) => {
+                                cx.any_bad = true;
+                                fetches[l] = at.fetched;
+                                cx.trapped.push((l, ExecError::Trap(msg)));
+                                false
+                            }
+                            Ok(false) => {
+                                stats.pipe_write_stalls += 1;
+                                fetches[l] = at.fetched;
+                                status[l] = LaneStatus::AtPipe;
+                                pcs[l] = at.pc;
+                                cx.sum_fetches = cx.sum_fetches.saturating_add(at.fetched);
+                                false
+                            }
+                            Ok(true) => {
+                                stats.pipe_writes += 1;
+                                true
+                            }
+                        }
+                    });
+                    if let Some(exit) = narrowed(kept, at) {
+                        return exit;
+                    }
+                }
+                Op::Jump { target, block } => {
+                    self.stats.block_execs[*block as usize] += n;
+                    at.pc = *target as usize;
+                    continue;
+                }
+                Op::JumpThread { target, mid_block, block } => {
+                    // Second step for the threaded-through jump.
+                    at.fetched += 1;
+                    if at.fetched > cx.cap {
+                        return self.out_of_budget(cx, lanes);
+                    }
+                    self.stats.block_execs[*mid_block as usize] += n;
+                    self.stats.block_execs[*block as usize] += n;
+                    at.pc = *target as usize;
+                    continue;
+                }
+                Op::Branch { cond, then_target, then_block, else_target, else_block } => {
+                    // Uniform branches (the common case, and the only case
+                    // for one lane) redirect the whole group in place.
+                    let (c, cells) = (row(*cond), &self.cells);
+                    let first = cells[c + lanes.at(0)] != 0;
+                    if (1..lanes.len()).all(|k| (cells[c + lanes.at(k)] != 0) == first) {
+                        let (block, target) = if first {
+                            (*then_block, *then_target)
+                        } else {
+                            (*else_block, *else_target)
+                        };
+                        self.stats.block_execs[block as usize] += n;
+                        at.pc = target as usize;
+                        continue;
+                    }
+                    let mut then_l = cx.pool.pop().unwrap_or_default();
+                    then_l.clear();
+                    let mut else_l = cx.pool.pop().unwrap_or_default();
+                    else_l.clear();
+                    lanes.for_each(|l| {
+                        if cells[c + l] != 0 {
+                            then_l.push(l);
+                        } else {
+                            else_l.push(l);
+                        }
+                    });
+                    self.stats.block_execs[*then_block as usize] += then_l.len() as u64;
+                    self.stats.block_execs[*else_block as usize] += else_l.len() as u64;
+                    let at = Cursor { pc: *then_target as usize, ..at };
+                    return Exit::Split { then_l, else_l, at, else_pc: *else_target as usize };
+                }
+                Op::Return => return self.finish(cx, lanes, at, LaneStatus::Done),
+            }
+            at.pc += 1;
+        }
+    }
 }
 
 /// Check `args` against the kernel signature and bind them to values,
-/// with the exact error messages of the tree-walker. Shared by
-/// [`BytecodeRun`] and [`LanesRun`].
+/// with the exact error messages of the tree-walker.
 fn bind_args(kernel: &CompiledKernel, args: &[KernelArgValue]) -> Result<Vec<Value>, ExecError> {
     if args.len() != kernel.params.len() {
         return Err(ExecError::BadArgs(format!(
@@ -2216,7 +1980,7 @@ fn bind_args(kernel: &CompiledKernel, args: &[KernelArgValue]) -> Result<Vec<Val
     Ok(bound)
 }
 
-fn bc_private_load(arena: &[u8], p: PtrValue, ty: ScalarType) -> Result<Value, ExecError> {
+fn private_load(arena: &[u8], p: PtrValue, ty: ScalarType) -> Result<Value, ExecError> {
     let len = ty.size_bytes();
     let off = usize::try_from(p.offset)
         .ok()
@@ -2225,7 +1989,7 @@ fn bc_private_load(arena: &[u8], p: PtrValue, ty: ScalarType) -> Result<Value, E
     Ok(Value::from_le_bytes(ty, &arena[off..off + len]))
 }
 
-fn bc_private_store(arena: &mut [u8], p: PtrValue, v: Value) -> Result<(), ExecError> {
+fn private_store(arena: &mut [u8], p: PtrValue, v: Value) -> Result<(), ExecError> {
     let len = v.scalar_type().expect("scalar").size_bytes();
     let alen = arena.len();
     let off = usize::try_from(p.offset)
@@ -2243,22 +2007,20 @@ mod tests {
     use crate::interp::{VecMemory, WorkGroupRun};
     use crate::mathlib::ExactMath;
 
-    /// Run `func` under all three engines over the same NDRange with
-    /// identically initialised memories; return each memory and stats.
+    /// Run `func` under the walker and the lanes engine over the same
+    /// NDRange with identically initialised memories; return each memory
+    /// and stats.
     #[allow(clippy::type_complexity)]
     fn run_all(
         func: &Function,
         global: usize,
         local: usize,
         init: impl Fn(&mut VecMemory) -> Vec<KernelArgValue>,
-    ) -> ((VecMemory, ExecStats), (VecMemory, ExecStats), (VecMemory, ExecStats)) {
+    ) -> ((VecMemory, ExecStats), (VecMemory, ExecStats)) {
         let compiled = CompiledKernel::compile(func);
         let mut walk_mem = VecMemory::new();
         let walk_args = init(&mut walk_mem);
         let mut walk_stats = ExecStats::with_blocks(func.blocks.len());
-        let mut bc_mem = VecMemory::new();
-        let bc_args = init(&mut bc_mem);
-        let mut bc_stats = ExecStats::with_blocks(func.blocks.len());
         let mut ln_mem = VecMemory::new();
         let ln_args = init(&mut ln_mem);
         let mut ln_stats = ExecStats::with_blocks(func.blocks.len());
@@ -2267,14 +2029,11 @@ mod tests {
             let mut w = WorkGroupRun::new(func, shape, &walk_args, 0).expect("walk args");
             w.run(&mut walk_mem, &ExactMath).expect("walk runs");
             walk_stats.merge(w.stats());
-            let mut b = BytecodeRun::new(&compiled, shape, &bc_args, 0).expect("bc args");
-            b.run(&mut bc_mem, &ExactMath).expect("bc runs");
-            bc_stats.merge(b.stats());
             let mut l = LanesRun::new(&compiled, shape, &ln_args, 0).expect("lanes args");
             l.run(&mut ln_mem, &ExactMath).expect("lanes runs");
             ln_stats.merge(l.stats());
         }
-        ((walk_mem, walk_stats), (bc_mem, bc_stats), (ln_mem, ln_stats))
+        ((walk_mem, walk_stats), (ln_mem, ln_stats))
     }
 
     /// Looping kernel with barrier, local exchange, math call and private
@@ -2338,14 +2097,12 @@ mod tests {
     #[test]
     fn bytecode_and_lanes_match_walker_bit_for_bit() {
         let func = busy_kernel();
-        let ((wm, ws), (bm, bs), (lm, ls)) = run_all(&func, 8, 4, |mem| {
+        let ((wm, ws), (lm, ls)) = run_all(&func, 8, 4, |mem| {
             let buf = mem.alloc_global(8 * 8);
             let l = mem.alloc_local(4 * 8);
             vec![KernelArgValue::GlobalBuffer(buf), KernelArgValue::LocalBuffer(l)]
         });
-        assert_eq!(wm.global_bytes(0), bm.global_bytes(0), "bit-identical bytecode buffers");
         assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "bit-identical lanes buffers");
-        assert_eq!(ws, bs, "identical bytecode ExecStats");
         assert_eq!(ws, ls, "identical lanes ExecStats (blocks, ops, mem, barriers, phases)");
         assert!(ws.barriers > 0 && ws.ops.transc64 > 0, "kernel actually exercised features");
     }
@@ -2373,14 +2130,7 @@ mod tests {
         let mut w = WorkGroupRun::new(&func, shape, &[KernelArgValue::GlobalBuffer(wbuf)], 0)
             .expect("args");
         let werr = w.run(&mut wm, &ExactMath).expect_err("walker traps");
-
-        let mut bm = VecMemory::new();
-        let bbuf = bm.alloc_global(8);
-        let mut bc = BytecodeRun::new(&compiled, shape, &[KernelArgValue::GlobalBuffer(bbuf)], 0)
-            .expect("args");
-        let berr = bc.run(&mut bm, &ExactMath).expect_err("bytecode traps");
-        assert_eq!(werr.to_string(), berr.to_string());
-        assert!(berr.to_string().contains("integer division by zero"));
+        assert!(werr.to_string().contains("integer division by zero"));
 
         let mut lm = VecMemory::new();
         let lbuf = lm.alloc_global(8);
@@ -2413,29 +2163,21 @@ mod tests {
         let compiled = CompiledKernel::compile(&func);
         let shape = GroupShape::linear(2, 2, 0);
 
-        let run_engine = |which: u8| -> ExecError {
+        let run_engine = |walk: bool| -> ExecError {
             let mut mem = VecMemory::new();
             let buf = mem.alloc_global(8);
             let args = [KernelArgValue::GlobalBuffer(buf)];
-            match which {
-                0 => {
-                    let mut r = WorkGroupRun::new(&func, shape, &args, 0).expect("args");
-                    r.run(&mut mem, &ExactMath).expect_err("diverges")
-                }
-                1 => {
-                    let mut r = BytecodeRun::new(&compiled, shape, &args, 0).expect("args");
-                    r.run(&mut mem, &ExactMath).expect_err("diverges")
-                }
-                _ => {
-                    let mut r = LanesRun::new(&compiled, shape, &args, 0).expect("args");
-                    r.run(&mut mem, &ExactMath).expect_err("diverges")
-                }
+            if walk {
+                let mut r = WorkGroupRun::new(&func, shape, &args, 0).expect("args");
+                r.run(&mut mem, &ExactMath).expect_err("diverges")
+            } else {
+                let mut r = LanesRun::new(&compiled, shape, &args, 0).expect("args");
+                r.run(&mut mem, &ExactMath).expect_err("diverges")
             }
         };
-        let (we, be, le) = (run_engine(0), run_engine(1), run_engine(2));
-        assert_eq!(we.to_string(), be.to_string(), "same (block, inst) positions reported");
-        assert_eq!(we.to_string(), le.to_string(), "lanes reports the same positions");
-        assert!(matches!(be, ExecError::BarrierDivergence { .. }));
+        let (we, le) = (run_engine(true), run_engine(false));
+        assert_eq!(we.to_string(), le.to_string(), "same (block, inst) positions reported");
+        assert!(matches!(le, ExecError::BarrierDivergence { .. }));
     }
 
     #[test]
@@ -2451,7 +2193,7 @@ mod tests {
         let shape = GroupShape::linear(1, 1, 0);
         let mut mem = VecMemory::new();
         let buf = mem.alloc_global(8);
-        let mut r = BytecodeRun::new(&compiled, shape, &[KernelArgValue::GlobalBuffer(buf)], 500)
+        let mut r = WorkGroupRun::new(&func, shape, &[KernelArgValue::GlobalBuffer(buf)], 500)
             .expect("args");
         assert!(matches!(r.run(&mut mem, &ExactMath), Err(ExecError::StepLimitExceeded)));
         let mut r = LanesRun::new(&compiled, shape, &[KernelArgValue::GlobalBuffer(buf)], 500)
@@ -2471,20 +2213,78 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("walker accepted bad args"),
         };
-        let bc_err = match BytecodeRun::new(&compiled, shape, &[], 0) {
-            Err(e) => e,
-            Ok(_) => panic!("bytecode accepted bad args"),
-        };
-        assert_eq!(walker_err.to_string(), bc_err.to_string());
         let lanes_err = match LanesRun::new(&compiled, shape, &[], 0) {
             Err(e) => e,
             Ok(_) => panic!("lanes accepted bad args"),
         };
         assert_eq!(walker_err.to_string(), lanes_err.to_string());
         assert!(matches!(
-            BytecodeRun::new(&compiled, shape, &[KernelArgValue::Scalar(Value::F64(1.0))], 0),
+            LanesRun::new(&compiled, shape, &[KernelArgValue::Scalar(Value::F64(1.0))], 0),
             Err(ExecError::BadArgs(_))
         ));
+    }
+
+    /// `priv[lid + bias]` into a one-double private arena, loaded into
+    /// `out[gid]` or stored from a constant: only lane `-bias` is in
+    /// bounds, every other lane runs past the end (or before the start).
+    /// A `narrow` index is an `int`, which must sign-extend.
+    fn private_access_kernel(store: bool, bias: i64, narrow: bool) -> Function {
+        use crate::ir::BinOp;
+        let mut b = FunctionBuilder::new("private_access", true);
+        let out = b.param("out", Type::ptr(AddressSpace::Global, ScalarType::F64));
+        let arena = b.alloc_private(8, ScalarType::F64);
+        let lid = b.local_id(0);
+        let k = b.const_i64(bias);
+        let i = b.bin(BinOp::Add, ScalarType::I64, lid, k);
+        let i = if narrow { b.cast(i, ScalarType::I64, ScalarType::I32) } else { i };
+        let slot = b.gep(arena, i, ScalarType::F64);
+        let v = if store {
+            let v = b.const_f64(2.5);
+            b.store(slot, v, ScalarType::F64);
+            v
+        } else {
+            b.load(slot, ScalarType::F64)
+        };
+        let gid = b.global_id(0);
+        let oslot = b.gep(out, gid, ScalarType::F64);
+        b.store(oslot, v, ScalarType::F64);
+        b.ret();
+        b.finish().expect("valid")
+    }
+
+    #[test]
+    fn private_out_of_bounds_reports_the_walker_payload() {
+        for (store, narrow) in [(false, false), (true, false), (false, true), (true, true)] {
+            for bias in [0, 1, -1] {
+                for local in [1, 4] {
+                    let func = private_access_kernel(store, bias, narrow);
+                    let compiled = CompiledKernel::compile(&func);
+                    let shape = GroupShape::linear(local, local, 0);
+                    let what = format!("store={store} narrow={narrow} bias={bias} local={local}");
+                    let mut wm = VecMemory::new();
+                    let args = [KernelArgValue::GlobalBuffer(wm.alloc_global(8 * local))];
+                    let mut w = WorkGroupRun::new(&func, shape, &args, 0).expect("args");
+                    let wres = w.run(&mut wm, &ExactMath);
+                    let mut lm = VecMemory::new();
+                    let args = [KernelArgValue::GlobalBuffer(lm.alloc_global(8 * local))];
+                    let mut l = LanesRun::new(&compiled, shape, &args, 0).expect("args");
+                    let lres = l.run(&mut lm, &ExactMath);
+                    // Only a lone in-bounds lane runs clean.
+                    assert_eq!(wres.is_ok(), local == 1 && bias == 0, "{what}");
+                    match (wres, lres) {
+                        (Ok(()), Ok(())) => {
+                            assert_eq!(wm.global_bytes(0), lm.global_bytes(0), "{what}");
+                            assert_eq!(w.stats(), l.stats(), "{what}");
+                        }
+                        (Err(we), Err(le)) => {
+                            assert_eq!(we.to_string(), le.to_string(), "{what}");
+                            assert!(le.to_string().contains("private arena size 8"), "{what}");
+                        }
+                        (wres, lres) => panic!("{what}: walker {wres:?}, lanes {lres:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2550,13 +2350,11 @@ mod tests {
                 compiled.to_string().contains("muladd.double"),
                 "mul+add pair fused (c_first={c_first})"
             );
-            let ((wm, ws), (bm, bs), (lm, ls)) =
+            let ((wm, ws), (lm, ls)) =
                 run_all(&func, 1, 1, |mem| vec![KernelArgValue::GlobalBuffer(mem.alloc_global(8))]);
             assert_eq!(wm.read_f64(0, 0), 22.0);
-            assert_eq!(wm.global_bytes(0), bm.global_bytes(0));
             assert_eq!(wm.global_bytes(0), lm.global_bytes(0));
-            assert_eq!(ws, bs, "fused op charges exactly the unfused mul+add");
-            assert_eq!(ws, ls);
+            assert_eq!(ws, ls, "fused op charges exactly the unfused mul+add");
         }
     }
 
@@ -2605,12 +2403,10 @@ mod tests {
         let dump = compiled.to_string();
         assert!(dump.contains("mov (self, elided)"), "self-move becomes a charge op");
         assert!(dump.contains("(b1 -> b2)"), "jump threaded through the hop block");
-        let ((wm, ws), (bm, bs), (lm, ls)) =
+        let ((wm, ws), (lm, ls)) =
             run_all(&func, 2, 2, |mem| vec![KernelArgValue::GlobalBuffer(mem.alloc_global(16))]);
-        assert_eq!(wm.global_bytes(0), bm.global_bytes(0));
         assert_eq!(wm.global_bytes(0), lm.global_bytes(0));
-        assert_eq!(ws, bs, "elided/threaded ops charge walker-identical stats");
-        assert_eq!(ws, ls);
+        assert_eq!(ws, ls, "elided/threaded ops charge walker-identical stats");
         assert!(ws.ops.mov >= 4, "both movs charged on both items");
         assert_eq!(ws.block_execs[1], 2, "threaded-through block still charged");
     }
@@ -2621,7 +2417,7 @@ mod tests {
         // run under several group sizes to cross group boundaries.
         let func = busy_kernel();
         for local in [1, 2, 8] {
-            let ((wm, ws), _, (lm, ls)) = run_all(&func, 8, local, |mem| {
+            let ((wm, ws), (lm, ls)) = run_all(&func, 8, local, |mem| {
                 let buf = mem.alloc_global(8 * 8);
                 let l = mem.alloc_local(local * 8);
                 vec![KernelArgValue::GlobalBuffer(buf), KernelArgValue::LocalBuffer(l)]

@@ -7,7 +7,7 @@
 //! * a work-group **interpreter** with faithful barrier suspension semantics
 //!   ([`interp`]), and a compiled **bytecode engine** ([`bytecode`]) that is
 //!   bit-identical to it but replaces tree-walking with a linear dispatch
-//!   loop,
+//!   loop run once per lockstep group of work-items,
 //! * an optimizing **pass pipeline** ([`passes`]: constant folding, DCE,
 //!   local CSE, branch simplification) standing in for the scalar cleanups
 //!   of the offline `aoc` compiler,

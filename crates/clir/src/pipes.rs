@@ -12,8 +12,8 @@
 //! no new successful op can never unblock.
 //!
 //! Element values are stored bit-packed in 64-bit cells (the same
-//! encoding as the bytecode engines), so FIFO contents are engine
-//! independent by construction.
+//! encoding as the lanes engine's register cells), so FIFO contents are
+//! engine independent by construction.
 
 use std::collections::VecDeque;
 
@@ -21,8 +21,8 @@ use crate::types::ScalarType;
 use crate::value::Value;
 
 /// Pack a scalar [`Value`] into a 64-bit FIFO cell. The encoding is the
-/// same one the bytecode engines use for register cells, so a value
-/// written by any engine reads back identically in every other.
+/// same one the lanes engine uses for register cells, so a value written
+/// by either engine reads back identically in the other.
 pub fn encode_value(v: Value) -> u64 {
     match v {
         Value::Bool(b) => b as u64,

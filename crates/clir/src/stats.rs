@@ -79,11 +79,16 @@ impl OpCounts {
     }
 
     pub(crate) fn count_builtin(&mut self, func: Builtin, ty: ScalarType) {
+        self.count_builtins(func, ty, 1);
+    }
+
+    /// [`Self::count_builtin`] for `n` executions at once.
+    pub(crate) fn count_builtins(&mut self, func: Builtin, ty: ScalarType, n: u64) {
         let f32w = ty == ScalarType::F32;
         match func {
-            Builtin::Exp | Builtin::Log => *pick(f32w, &mut self.transc32, &mut self.transc64) += 1,
-            Builtin::Pow => *pick(f32w, &mut self.pow32, &mut self.pow64) += 1,
-            Builtin::Sqrt => *pick(f32w, &mut self.sqrt32, &mut self.sqrt64) += 1,
+            Builtin::Exp | Builtin::Log => *pick(f32w, &mut self.transc32, &mut self.transc64) += n,
+            Builtin::Pow => *pick(f32w, &mut self.pow32, &mut self.pow64) += n,
+            Builtin::Sqrt => *pick(f32w, &mut self.sqrt32, &mut self.sqrt64) += n,
         }
     }
 

@@ -1,5 +1,5 @@
-//! Property tests: the three execution engines (tree-walker, register
-//! bytecode, lane-vectorized SIMT) are observationally identical.
+//! Property tests: the two execution engines (the tree-walker and the
+//! compiled, lane-vectorized SIMT engine) are observationally identical.
 //!
 //! Strategy: generate random branchy work-group kernels — divergent
 //! control flow keyed on the local id, multiply-assigned locals that
@@ -158,7 +158,7 @@ fn run_case(case: &Case, engine: Engine, workers: usize, plan: Option<&FaultPlan
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Walk, bytecode and lanes agree bit-for-bit on random branchy
+    /// Walk and lanes agree bit-for-bit on random branchy
     /// kernels — prices, stats, counters, simulated time — and report
     /// the identical trap when the kernel divides by zero.
     #[test]
@@ -178,7 +178,7 @@ proptest! {
                 msg
             );
         }
-        for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             for workers in [1usize, 3] {
                 let got = run_case(&case, engine, workers, None);
                 let what = format!("{engine} engine, {workers} worker(s), case {case:?}");
@@ -201,7 +201,7 @@ proptest! {
     ) {
         let plan = FaultPlan::new(rate, seed);
         let reference = run_case(&case, Engine::Walk, 1, Some(&plan));
-        for engine in [Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             for workers in [1usize, 3] {
                 let got = run_case(&case, engine, workers, Some(&plan));
                 let what = format!("{engine} engine, {workers} worker(s), case {case:?}");

@@ -4,11 +4,11 @@
 //! trapping integer ops), runs them through the `standard` and
 //! `standard+cse` pipelines, and checks that the optimised module is
 //! still verifier-clean and that the tree-walking interpreter on the
-//! original, the tree-walker on the optimised IR and the bytecode
+//! original, the tree-walker on the optimised IR and the compiled lanes
 //! engine on the optimised IR all produce bit-identical output buffers.
 
 use bop_clir::builder::FunctionBuilder;
-use bop_clir::bytecode::{BytecodeRun, CompiledKernel};
+use bop_clir::bytecode::{CompiledKernel, LanesRun};
 use bop_clir::interp::{GroupShape, KernelArgValue, VecMemory, WorkGroupRun};
 use bop_clir::ir::{BinOp, Builtin, Function, Module};
 use bop_clir::mathlib::ExactMath;
@@ -121,7 +121,7 @@ fn run_walker(func: &Function) -> Vec<u8> {
     mem.global_bytes(buf).to_vec()
 }
 
-/// Same NDRange on the bytecode engine.
+/// Same NDRange on the compiled (lanes) engine.
 fn run_bytecode(func: &Function) -> Vec<u8> {
     let compiled = CompiledKernel::compile(func);
     let mut mem = VecMemory::new();
@@ -129,7 +129,7 @@ fn run_bytecode(func: &Function) -> Vec<u8> {
     let args = vec![KernelArgValue::GlobalBuffer(buf)];
     for group in 0..GLOBAL / LOCAL {
         let shape = GroupShape::linear(GLOBAL, LOCAL, group);
-        let mut run = BytecodeRun::new(&compiled, shape, &args, 0).expect("args bind");
+        let mut run = LanesRun::new(&compiled, shape, &args, 0).expect("args bind");
         run.run(&mut mem, &ExactMath).expect("straight-line kernels cannot trap");
     }
     mem.global_bytes(buf).to_vec()

@@ -9,7 +9,7 @@
 //! engine at several worker counts. Whatever happens — values, stall
 //! counters, queue counters, the simulated clock, a deadlock trap, a
 //! step-budget trip or an injected fault — must be bit-identical across
-//! walk, bytecode and lanes, and no case may hang.
+//! walk and lanes, and no case may hang.
 
 use bop_core::devices;
 use bop_ocl::device::Dispatch;
@@ -173,7 +173,7 @@ proptest! {
             let msg = reference.result.as_ref().unwrap_err();
             prop_assert!(msg.contains("pipe deadlock"), "unexpected payload `{}`", msg);
         }
-        for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             for workers in [1usize, 3] {
                 let got = run_case(&case, engine, workers, None);
                 let what = format!("{engine} engine, {workers} worker(s), case {case:?}");
@@ -193,7 +193,7 @@ proptest! {
     ) {
         let plan = FaultPlan::new(rate, seed);
         let reference = run_case(&case, Engine::Walk, 1, Some(&plan));
-        for engine in [Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             for workers in [1usize, 3] {
                 let got = run_case(&case, engine, workers, Some(&plan));
                 let what = format!("{engine} engine, {workers} worker(s), case {case:?}");

@@ -13,7 +13,7 @@ use crate::context::{Buffer, Context};
 use crate::device::Dispatch;
 use crate::faults::{FaultDecision, FaultPlan, FaultSite, FaultState, InjectedFault};
 use crate::program::{Kernel, KernelArg};
-use bop_clir::bytecode::{BytecodeRun, CompiledKernel, LanesRun};
+use bop_clir::bytecode::{CompiledKernel, LanesRun};
 use bop_clir::interp::WorkerMemory;
 use bop_clir::interp::{
     pipe_deadlock_trap, ExecError, GlobalArena, GroupShape, KernelArgValue, RunOutcome,
@@ -30,22 +30,20 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-/// Which kernel execution engine an NDRange launch uses. All engines are
+/// Which kernel execution engine an NDRange launch uses. Both engines are
 /// bit-identical — same prices, statistics, counters, traces and error
-/// messages; bytecode and lanes are simply faster wall-clock.
+/// messages; lanes is simply faster wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The `bop-clir` tree-walking interpreter ([`WorkGroupRun`]) — the
     /// reference engine.
     Walk,
-    /// The compiled register-bytecode engine ([`BytecodeRun`]); falls back
-    /// to the walker for kernels with no cached bytecode.
+    /// The compiled, lane-vectorized bytecode engine ([`LanesRun`]): each
+    /// op dispatches once per SIMT group and executes across all
+    /// work-item lanes of a structure-of-arrays register file (one lane
+    /// for single-work-item tasks). Falls back to the walker for kernels
+    /// with no cached bytecode.
     #[default]
-    Bytecode,
-    /// The lane-vectorized bytecode engine ([`LanesRun`]): each op
-    /// dispatches once per SIMT group and executes across all work-item
-    /// lanes of a structure-of-arrays register file. Falls back to the
-    /// walker for kernels with no cached bytecode.
     Lanes,
 }
 
@@ -53,28 +51,51 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Engine::Walk => "walk",
-            Engine::Bytecode => "bytecode",
             Engine::Lanes => "lanes",
         })
     }
 }
 
-/// Parse an engine name as accepted by `BOP_SIM_ENGINE`: `walk` (or
-/// `tree`), `bytecode` (or `bc`), and `lanes` (or `simd`),
-/// case-insensitive.
+/// Parse an engine name as accepted by `BOP_SIM_ENGINE`, case-insensitive:
+/// `walk` (or `tree`) and `lanes` (or `simd`, `bytecode`, `bc` — every
+/// compiled-engine name selects the one compiled engine).
 pub fn parse_engine(s: &str) -> Option<Engine> {
     match s.trim().to_ascii_lowercase().as_str() {
         "walk" | "tree" => Some(Engine::Walk),
-        "bytecode" | "bc" => Some(Engine::Bytecode),
-        "lanes" | "simd" => Some(Engine::Lanes),
+        "lanes" | "simd" | "bytecode" | "bc" => Some(Engine::Lanes),
         _ => None,
     }
 }
 
-/// Engine used when none is configured: `BOP_SIM_ENGINE` if set to a name
-/// [`parse_engine`] accepts, else the bytecode engine.
+/// Resolve a `BOP_SIM_ENGINE` value: the engine it names, or the default
+/// engine plus a warning when it is set to a name [`parse_engine`] does
+/// not accept.
+pub fn resolve_engine(var: Option<&str>) -> (Engine, Option<String>) {
+    match var.map(|v| (v, parse_engine(v))) {
+        None => (Engine::default(), None),
+        Some((_, Some(engine))) => (engine, None),
+        Some((v, None)) => (
+            Engine::default(),
+            Some(format!(
+                "BOP_SIM_ENGINE={v:?} names no engine (walk|tree, lanes|simd|bytecode|bc); \
+                 using {}",
+                Engine::default()
+            )),
+        ),
+    }
+}
+
+/// Engine used when none is configured: `BOP_SIM_ENGINE` if set, else the
+/// lanes engine. An unrecognised value falls back to the default with a
+/// warning on standard error, printed once per process.
 fn default_engine() -> Engine {
-    std::env::var("BOP_SIM_ENGINE").ok().and_then(|v| parse_engine(&v)).unwrap_or_default()
+    static WARN: std::sync::Once = std::sync::Once::new();
+    let var = std::env::var("BOP_SIM_ENGINE").ok();
+    let (engine, warning) = resolve_engine(var.as_deref());
+    if let Some(warning) = warning {
+        WARN.call_once(|| eprintln!("warning: {warning}"));
+    }
+    engine
 }
 
 /// Parse a step-limit value as accepted by `BOP_SIM_STEP_LIMIT`: a
@@ -371,8 +392,8 @@ impl CommandQueue {
     }
 
     /// Select the kernel execution engine for NDRange launches (default:
-    /// `BOP_SIM_ENGINE`, else the bytecode engine). Purely a wall-clock
-    /// knob: all engines produce bit-identical results, statistics,
+    /// `BOP_SIM_ENGINE`, else the lanes engine). Purely a wall-clock
+    /// knob: both engines produce bit-identical results, statistics,
     /// counters, traces and errors.
     pub fn set_engine(&self, engine: Engine) {
         *self.engine.lock().unwrap() = engine;
@@ -1466,7 +1487,6 @@ impl CommandQueue {
 /// selected (same fallback rules as single launches).
 enum GraphRunner<'a> {
     Walk(WorkGroupRun<'a>),
-    Bc(BytecodeRun<'a>),
     Lanes(LanesRun<'a>),
 }
 
@@ -1479,7 +1499,6 @@ impl GraphRunner<'_> {
     ) -> Result<RunOutcome, ExecError> {
         match self {
             GraphRunner::Walk(r) => r.run_resumable(mem, math, hub),
-            GraphRunner::Bc(r) => r.run_resumable(mem, math, hub),
             GraphRunner::Lanes(r) => r.run_resumable(mem, math, hub),
         }
     }
@@ -1487,7 +1506,6 @@ impl GraphRunner<'_> {
     fn stats(&self) -> &ExecStats {
         match self {
             GraphRunner::Walk(r) => r.stats(),
-            GraphRunner::Bc(r) => r.stats(),
             GraphRunner::Lanes(r) => r.stats(),
         }
     }
@@ -1524,9 +1542,6 @@ fn run_graph(
             .collect();
         let shape = GroupShape::linear(dispatch.global, dispatch.local, 0);
         let runner = match (engine, kernel.compiled.as_deref()) {
-            (Engine::Bytecode, Some(bc)) => {
-                GraphRunner::Bc(BytecodeRun::new(bc, shape, &arg_values, step_limit)?)
-            }
             (Engine::Lanes, Some(bc)) => {
                 GraphRunner::Lanes(LanesRun::new(bc, shape, &arg_values, step_limit)?)
             }
@@ -1579,10 +1594,10 @@ fn run_graph(
 /// reported from the lowest-indexed failing worker is the one the
 /// sequential loop would have hit first.
 ///
-/// Each group runs on the selected [`Engine`]: the compiled bytecode
-/// (serial or lane-vectorized) when available and `engine` asks for it,
-/// else the tree-walker. All engines are bit-identical, so the choice
-/// never changes results or statistics.
+/// Each group runs on the selected [`Engine`]: the compiled lanes engine
+/// when bytecode is available and `engine` asks for it, else the
+/// tree-walker. Both engines are bit-identical, so the choice never
+/// changes results or statistics.
 #[allow(clippy::too_many_arguments)]
 fn interpret_groups(
     mem: &mut GlobalArena,
@@ -1622,12 +1637,6 @@ fn interpret_groups(
             let arg_values = bind(&mut local);
             let shape = GroupShape::linear(dispatch.global, dispatch.local, group);
             let outcome = match (engine, compiled) {
-                (Engine::Bytecode, Some(bc)) => {
-                    let mut run = BytecodeRun::new(bc, shape, &arg_values, step_limit)?;
-                    let o = run.run_resumable(&mut local, math, hub)?;
-                    total.merge(run.stats());
-                    o
-                }
                 (Engine::Lanes, Some(bc)) => {
                     let mut run = LanesRun::new(bc, shape, &arg_values, step_limit)?;
                     let o = run.run_resumable(&mut local, math, hub)?;
@@ -1656,11 +1665,6 @@ fn interpret_groups(
             let arg_values = bind(&mut local);
             let shape = GroupShape::linear(dispatch.global, dispatch.local, group);
             match (engine, compiled) {
-                (Engine::Bytecode, Some(bc)) => {
-                    let mut run = BytecodeRun::new(bc, shape, &arg_values, step_limit)?;
-                    run.run(&mut local, math)?;
-                    total.merge(run.stats());
-                }
                 (Engine::Lanes, Some(bc)) => {
                     let mut run = LanesRun::new(bc, shape, &arg_values, step_limit)?;
                     run.run(&mut local, math)?;
@@ -2130,7 +2134,7 @@ mod tests {
     #[test]
     fn spurious_traps_kill_launches_on_all_engines() {
         use crate::faults::{FaultPlan, FaultSites};
-        for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+        for engine in [Engine::Walk, Engine::Lanes] {
             let (ctx, q, p) = setup("__kernel void k(__global double* io) {}");
             q.set_engine(engine);
             q.set_fault_plan(FaultPlan::new(1.0, 5).with_sites(FaultSites {

@@ -1,12 +1,12 @@
 //! Integration: the compile pipeline (passes -> verify -> bytecode) and
 //! the engine-equivalence contract.
 //!
-//! The tree-walking interpreter is the reference semantics; the register
-//! bytecode engine is the default hot path. The first half pins down the
-//! differential guarantee — both of the paper's host programs on all
-//! three device models must produce bit-identical prices, merged
-//! `ExecStats`, `QueueCounters` and exported traces on either engine at
-//! any worker count. The second half covers the knobs and failure modes
+//! The tree-walking interpreter is the reference semantics; the
+//! lane-vectorized bytecode engine is the default hot path. The first half
+//! pins down the differential guarantee — both of the paper's host
+//! programs on all three device models must produce bit-identical prices,
+//! merged `ExecStats`, `QueueCounters` and exported traces on either
+//! engine at any worker count. The second half covers the knobs and failure modes
 //! around the pipeline: engine/step-limit selection (builder and env
 //! syntax), the structured error for pass-corrupted IR, compile metrics,
 //! and program sharing across pooled shards.
@@ -15,7 +15,7 @@ use bop_core::hostprog::optimized::OptimizedHost;
 use bop_core::hostprog::straightforward::StraightforwardHost;
 use bop_core::{devices, Accelerator, KernelArch, Precision};
 use bop_finance::types::OptionParams;
-use bop_ocl::queue::{parse_engine, parse_step_limit};
+use bop_ocl::queue::{parse_engine, parse_step_limit, resolve_engine};
 use bop_ocl::{BuildOptions, CommandQueue, Context, Device, Engine, Program};
 use std::sync::Arc;
 
@@ -72,19 +72,17 @@ fn bytecode_and_lanes_engines_are_bit_identical_to_the_tree_walker() {
     for arch in archs {
         for make in device_of {
             let reference = run_host(make(), arch, Engine::Walk, 1);
-            for engine in [Engine::Bytecode, Engine::Lanes] {
-                for workers in [1, 3] {
-                    let bc = run_host(make(), arch, engine, workers);
-                    let what = format!(
-                        "{arch:?} on {:?}, {engine} engine, {workers} worker(s)",
-                        make().info().kind
-                    );
-                    assert_eq!(bc.prices, reference.prices, "prices differ: {what}");
-                    assert_eq!(bc.stats, reference.stats, "kernel stats differ: {what}");
-                    assert_eq!(bc.counters, reference.counters, "counters differ: {what}");
-                    assert_eq!(bc.chrome, reference.chrome, "chrome export differs: {what}");
-                    assert_eq!(bc.sim_s, reference.sim_s, "simulated clock differs: {what}");
-                }
+            for (engine, workers) in [(Engine::Walk, 3), (Engine::Lanes, 1), (Engine::Lanes, 3)] {
+                let run = run_host(make(), arch, engine, workers);
+                let what = format!(
+                    "{arch:?} on {:?}, {engine} engine, {workers} worker(s)",
+                    make().info().kind
+                );
+                assert_eq!(run.prices, reference.prices, "prices differ: {what}");
+                assert_eq!(run.stats, reference.stats, "kernel stats differ: {what}");
+                assert_eq!(run.counters, reference.counters, "counters differ: {what}");
+                assert_eq!(run.chrome, reference.chrome, "chrome export differs: {what}");
+                assert_eq!(run.sim_s, reference.sim_s, "simulated clock differs: {what}");
             }
             assert!(reference.stats.is_some(), "launches must record kernel stats");
         }
@@ -94,7 +92,7 @@ fn bytecode_and_lanes_engines_are_bit_identical_to_the_tree_walker() {
 /// Deterministic anchor for the devtests `proptest_engines` template: a
 /// branchy kernel with per-lane divergence, multiply-assigned locals,
 /// barrier-separated local-memory traffic and an optional integer trap
-/// behaves identically on all three engines at several worker counts.
+/// behaves identically on both engines at several worker counts.
 #[test]
 fn engines_agree_on_branchy_divergent_kernel_and_trap() {
     let src = "__kernel void k(__global double* out, __global const double* in,
@@ -156,7 +154,7 @@ fn engines_agree_on_branchy_divergent_kernel_and_trap() {
     let bad = run(Engine::Walk, 1, 0);
     let trap = bad.0.as_ref().expect_err("divisor 0 must trap");
     assert!(trap.contains("integer division by zero"), "typed trap payload: {trap}");
-    for engine in [Engine::Walk, Engine::Bytecode, Engine::Lanes] {
+    for engine in [Engine::Walk, Engine::Lanes] {
         for workers in [1usize, 3] {
             let what = format!("{engine} engine, {workers} worker(s)");
             assert_eq!(run(engine, workers, 2), good, "success outcome differs: {what}");
@@ -172,18 +170,17 @@ fn engine_knob_round_trips_and_env_syntax_parses() {
     assert_eq!(queue.engine(), Engine::default(), "queue starts on the default engine");
     queue.set_engine(Engine::Walk);
     assert_eq!(queue.engine(), Engine::Walk);
-    queue.set_engine(Engine::Bytecode);
-    assert_eq!(queue.engine(), Engine::Bytecode);
     queue.set_engine(Engine::Lanes);
     assert_eq!(queue.engine(), Engine::Lanes);
-    assert_eq!(Engine::default(), Engine::Bytecode, "bytecode is the default hot path");
+    assert_eq!(Engine::default(), Engine::Lanes, "lanes is the default hot path");
 
-    // The BOP_SIM_ENGINE value syntax.
+    // The BOP_SIM_ENGINE value syntax; `bytecode`/`bc` name the one
+    // compiled engine.
     for (s, want) in [
         ("walk", Some(Engine::Walk)),
         ("tree", Some(Engine::Walk)),
-        ("Bytecode", Some(Engine::Bytecode)),
-        (" bc ", Some(Engine::Bytecode)),
+        ("Bytecode", Some(Engine::Lanes)),
+        (" bc ", Some(Engine::Lanes)),
         ("lanes", Some(Engine::Lanes)),
         (" SIMD ", Some(Engine::Lanes)),
         ("llvm", None),
@@ -191,6 +188,17 @@ fn engine_knob_round_trips_and_env_syntax_parses() {
     ] {
         assert_eq!(parse_engine(s), want, "parse_engine({s:?})");
     }
+    // An unset variable selects the default quietly; an unrecognised one
+    // also falls back to the default, but never without a word.
+    assert_eq!(resolve_engine(None), (Engine::Lanes, None));
+    assert_eq!(resolve_engine(Some("walk")), (Engine::Walk, None));
+    let (engine, warning) = resolve_engine(Some("llvm"));
+    assert_eq!(engine, Engine::Lanes);
+    let warning = warning.expect("an unrecognised engine name is reported");
+    assert!(
+        warning.contains("BOP_SIM_ENGINE=\"llvm\"") && warning.contains("using lanes"),
+        "{warning}"
+    );
     // The BOP_SIM_STEP_LIMIT value syntax.
     assert_eq!(parse_step_limit("1000"), Some(1000));
     assert_eq!(parse_step_limit(" 0 "), Some(0));
@@ -254,14 +262,12 @@ fn accelerator_engine_knob_is_wall_clock_only() {
         b.build().expect("builds").price(&[OptionParams::example(); 4]).expect("prices")
     };
     let walk = price(Some(Engine::Walk));
-    let bytecode = price(Some(Engine::Bytecode));
     let lanes = price(Some(Engine::Lanes));
     let auto = price(None);
-    assert_eq!(walk.prices, bytecode.prices, "prices independent of engine");
-    assert_eq!(walk.prices, lanes.prices, "lanes prices independent of engine");
-    assert_eq!(walk.elapsed_s, bytecode.elapsed_s, "simulated time independent of engine");
-    assert_eq!(walk.elapsed_s, lanes.elapsed_s, "lanes simulated time independent of engine");
-    assert_eq!(auto.prices, bytecode.prices, "default engine gives the same prices");
+    assert_eq!(walk.prices, lanes.prices, "prices independent of engine");
+    assert_eq!(walk.elapsed_s, lanes.elapsed_s, "simulated time independent of engine");
+    assert_eq!(auto.prices, lanes.prices, "default engine gives the same prices");
+    assert_eq!(auto.elapsed_s, lanes.elapsed_s, "default engine gives the same simulated time");
 }
 
 #[test]

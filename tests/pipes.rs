@@ -5,8 +5,8 @@
 //! ordering through a producer/consumer launch graph, blocking-stall
 //! behaviour when the FIFO fills, a deterministic deadlock trap when a
 //! read can never be satisfied, and bit-identity of prices, statistics
-//! (stall counters included) and queue counters across all three
-//! execution engines at several worker counts.
+//! (stall counters included), queue counters and the deadlock trap across
+//! both execution engines at several worker counts.
 
 use bop_core::hostprog::streaming::StreamingHost;
 use bop_core::{devices, KernelArch, Precision};
@@ -170,14 +170,44 @@ fn producer_consumer_pair_is_bit_identical_across_engines_and_workers() {
         reference.consumer_stats.pipe_read_stalls > 0,
         "the consumer must outpace the producer at least once"
     );
-    for (engine, workers) in [
-        (Engine::Walk, 4),
-        (Engine::Bytecode, 1),
-        (Engine::Bytecode, 4),
-        (Engine::Lanes, 1),
-        (Engine::Lanes, 4),
-    ] {
-        let outcome = run_streaming(engine, workers);
-        assert_eq!(reference, outcome, "{engine:?} with {workers} workers diverged");
+    let c = &reference.counters;
+    assert!(c.pipe_reads > 0 && c.pipe_reads == c.pipe_writes, "every leaf crosses the pipe");
+    assert!(c.pipe_read_stalls > 0, "stalls reach the queue counters");
+    for engine in [Engine::Walk, Engine::Lanes] {
+        for workers in [1, 2, 3] {
+            let outcome = run_streaming(engine, workers);
+            assert_eq!(reference, outcome, "{engine:?} with {workers} workers diverged");
+        }
+    }
+}
+
+#[test]
+fn deadlock_trap_is_identical_on_both_engines_at_any_worker_count() {
+    // A consumer with no producer, once as a launch graph and once as a
+    // lone launch: both engines must report the same trap and leave the
+    // same counters behind at every worker count.
+    let run = |engine: Engine, workers: usize| {
+        let (ctx, queue, program) = session(devices::fpga());
+        queue.set_engine(engine);
+        queue.set_workers(workers);
+        let pipe = ctx.create_pipe(bop_clir::types::ScalarType::F64, 4);
+        let out = ctx.create_buffer(8 * 8);
+        let consume = program.kernel("consume").expect("kernel");
+        consume.set_arg_pipe(0, &pipe);
+        consume.set_arg_buffer(1, &out);
+        consume.set_arg_i32(2, 8);
+        let graph = queue.enqueue_launch_graph(&[(&consume, Dispatch::new(1, 1))]);
+        let lone = queue.enqueue_nd_range(&consume, Dispatch::new(1, 1));
+        let err =
+            |r: Result<_, bop_ocl::queue::RuntimeError>| r.expect_err("deadlocks").to_string();
+        (err(graph), err(lone), queue.counters())
+    };
+    let reference = run(Engine::Walk, 1);
+    assert!(reference.0.contains("pipe deadlock"), "got: {}", reference.0);
+    assert!(reference.1.contains("pipe deadlock"), "got: {}", reference.1);
+    for engine in [Engine::Walk, Engine::Lanes] {
+        for workers in [1, 2, 3] {
+            assert_eq!(run(engine, workers), reference, "{engine:?} with {workers} workers");
+        }
     }
 }
