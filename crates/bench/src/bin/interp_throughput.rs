@@ -8,8 +8,9 @@
 //! stall counters included), `QueueCounters` and the exported Chrome
 //! trace are bit-identical across worker counts *and* across the
 //! tree-walking and lane-vectorized engines, and reports the wall-clock
-//! speedups. Both knobs are wall-clock only: the simulated device clock
-//! never changes.
+//! speedups and each engine's wall-clock nanoseconds per interpreted
+//! instruction at one worker. Both knobs are wall-clock only: the
+//! simulated device clock never changes.
 //!
 //! Pass `--kernel ivb|ivc` (default `ivb`) to pick the architecture,
 //! `--engine walk|lanes|both|all` (default `both`; `both` and `all` each
@@ -239,6 +240,18 @@ fn main() {
     let sim_options_per_s = n_options as f64 / reference.sim_s;
     let sim_options_per_j = sim_options_per_s / reference.watts;
 
+    // Host cost per interpreted instruction (IV.C: both pipe tasks) at
+    // one worker: an engine's speed independent of the workload size.
+    let instructions: u64 = [&reference.stats, &reference.producer_stats]
+        .into_iter()
+        .flatten()
+        .map(|s| s.instructions())
+        .sum();
+    let ns_per_instr: Vec<(Engine, f64)> = sweeps
+        .iter()
+        .map(|(engine, results)| (*engine, results[0].1.wall_s * 1e9 / instructions as f64))
+        .collect();
+
     if !opts.suppress_human() {
         println!("Interpreter throughput — kernel {label}, {shape}, {n_steps} steps\n");
         for (engine, results) in &sweeps {
@@ -256,6 +269,11 @@ fn main() {
             }
             println!();
         }
+        println!("{instructions} interpreted instructions per run");
+        for (engine, ns) in &ns_per_instr {
+            println!("{:>8}: {ns:.2} ns per instruction at 1 worker (wall)", engine.to_string());
+        }
+        println!();
         for (base, cont, per) in &pairs {
             println!("{cont} vs {base} (same worker count):");
             for (w, s) in per {
@@ -281,6 +299,10 @@ fn main() {
             report.push(format!("{engine}.workers_{w}.wall_s"), None, r.wall_s, "s");
             report.push(format!("{engine}.workers_{w}.speedup"), None, base.wall_s / r.wall_s, "x");
         }
+    }
+    report.push("instructions", None, instructions as f64, "count");
+    for (engine, ns) in &ns_per_instr {
+        report.push(format!("{engine}.workers_1.ns_per_instr"), None, *ns, "ns");
     }
     for (base, cont, per) in &pairs {
         for (w, s) in per {

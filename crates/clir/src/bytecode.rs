@@ -22,8 +22,8 @@
 
 use crate::eval::{eval_bin, eval_cast, eval_cmp, eval_un};
 use crate::interp::{
-    check_pipe_shape, pipe_deadlock_trap, private_oob, ExecError, GroupShape, KernelArgValue,
-    Memory, RunOutcome, DEFAULT_STEP_LIMIT,
+    check_pipe_shape, pipe_deadlock_trap, private_oob, stored_type, ExecError, GroupShape,
+    KernelArgValue, Memory, RunOutcome, DEFAULT_STEP_LIMIT,
 };
 use crate::ir::{BinOp, Builtin, CmpOp, Function, Inst, Param, Terminator, UnOp, WiQuery};
 use crate::mathlib::MathLib;
@@ -1032,12 +1032,46 @@ struct Phase<'a> {
     cap: u64,
     /// Σ fetches of the lanes that ended the phase cleanly.
     sum_fetches: u64,
-    /// A lane trapped, stalled or overran `cap`: settlement takes the
+    /// A lane trapped or overran `cap`: settlement takes the
     /// serial replay.
     any_bad: bool,
     trapped: Vec<(usize, ExecError)>,
     /// Reusable lane vectors: the steady state allocates nothing.
     pool: Vec<Vec<usize>>,
+    /// No other group is queued behind the running one.
+    alone: bool,
+    /// A lane parked at a barrier this phase. (Pipe kernels are
+    /// single-work-item tasks, so a lane stalled at a pipe never shares
+    /// its work-group with another group.)
+    parked: bool,
+    /// The lanes of the current phase, in work-item order.
+    lanes: PhaseLanes,
+}
+
+/// The lanes a phase runs: those it started with, or, after an in-place
+/// barrier release, the released group.
+enum PhaseLanes {
+    Started,
+    Range(usize, usize),
+    List(Vec<usize>),
+}
+
+impl Phase<'_> {
+    /// Make `lanes`, just released in place, the current phase's lanes.
+    fn released(&mut self, lanes: impl LaneSet) {
+        let (n, lo) = (lanes.len(), lanes.at(0));
+        if lanes.at(n - 1) - lo + 1 == n {
+            self.lanes = PhaseLanes::Range(lo, lo + n);
+            return;
+        }
+        let mut list = match std::mem::replace(&mut self.lanes, PhaseLanes::Started) {
+            PhaseLanes::List(v) => v,
+            _ => self.pool.pop().unwrap_or_default(),
+        };
+        list.clear();
+        lanes.for_each(|l| list.push(l));
+        self.lanes = PhaseLanes::List(list);
+    }
 }
 
 /// Continue (`None`) when every lane survived the op at `at`, else the
@@ -1073,7 +1107,9 @@ fn narrowed(kept: Kept, at: Cursor) -> Option<Exit> {
 ///   vs. a real trap resolves exactly as in serial execution;
 /// - argument binding, trap payloads, barrier divergence positions and
 ///   the barrier-release protocol mirror
-///   [`crate::interp::WorkGroupRun`].
+///   [`crate::interp::WorkGroupRun`]; a barrier that every live lane
+///   reaches in one group is released in place, with the same charges
+///   as the general release in [`LanesRun::run_resumable`].
 ///
 /// The one caveat is failed launches: lanes past a trapping work-item
 /// may already have executed (and written memory) in lockstep, where the
@@ -1261,6 +1297,9 @@ impl<'k> LanesRun<'k> {
 
     /// Execute one phase (all running lanes until barrier/retire/trap)
     /// as a worklist of lockstep groups, then settle the step budget.
+    /// A group that holds every live lane releases its barriers in place
+    /// (see the `Op::Barrier` arm of [`LanesRun::run_group`]), so one
+    /// call may run many phases.
     ///
     /// Each group runs through [`LanesRun::run_group`] compiled for its
     /// shape — one lane, a dense range or a sparse list — and comes back
@@ -1273,18 +1312,20 @@ impl<'k> LanesRun<'k> {
         math: &dyn MathLib,
         pipes: &mut PipeHub,
     ) -> Result<(), ExecError> {
-        let budget = self.step_limit - self.steps;
         let start_pc = self.pc[running[0]];
         debug_assert!(running.iter().all(|&l| self.pc[l] == start_pc));
         let mut cx = Phase {
             mem,
             math,
             pipes,
-            cap: budget.saturating_add(1),
+            cap: (self.step_limit - self.steps).saturating_add(1),
             sum_fetches: 0,
             any_bad: false,
             trapped: Vec::new(),
             pool: std::mem::take(&mut self.lane_pool),
+            alone: true,
+            parked: false,
+            lanes: PhaseLanes::Started,
         };
         let mut groups = std::mem::take(&mut self.group_stack);
         let mut first = cx.pool.pop().unwrap_or_default();
@@ -1294,6 +1335,7 @@ impl<'k> LanesRun<'k> {
 
         while let Some(mut g) = groups.pop() {
             loop {
+                cx.alone = groups.is_empty();
                 let (n, lo) = (g.lanes.len(), g.lanes[0]);
                 let exit = if n == 1 {
                     self.run_group(&mut cx, g.at, One(lo))
@@ -1312,12 +1354,22 @@ impl<'k> LanesRun<'k> {
                         g.at = at;
                     }
                     Exit::Split { then_l, else_l, at, else_pc } => {
-                        groups.push(LaneGroup {
+                        // The smaller side runs first: when it retires
+                        // (a loop exit shedding lanes), the larger side
+                        // then reaches its barrier alone and can release
+                        // it in place.
+                        let else_g = LaneGroup {
                             at: Cursor { pc: else_pc, fetched: at.fetched },
                             lanes: else_l,
-                        });
-                        cx.pool.push(std::mem::replace(&mut g.lanes, then_l));
-                        g.at = at;
+                        };
+                        let then_g = LaneGroup { at, lanes: then_l };
+                        let (first, later) = if else_g.lanes.len() < then_g.lanes.len() {
+                            (else_g, then_g)
+                        } else {
+                            (then_g, else_g)
+                        };
+                        groups.push(later);
+                        cx.pool.push(std::mem::replace(&mut g, first).lanes);
                     }
                 }
             }
@@ -1325,17 +1377,36 @@ impl<'k> LanesRun<'k> {
 
         self.group_stack = groups;
         self.lane_pool = std::mem::take(&mut cx.pool);
+        let budget = self.step_limit - self.steps;
         if !cx.any_bad && cx.sum_fetches <= budget {
             self.steps += cx.sum_fetches;
+            if let PhaseLanes::List(list) = cx.lanes {
+                self.lane_pool.push(list);
+            }
             return Ok(());
         }
         // Serial settlement (rare): replay per-lane fetch counts in
         // work-item order against the shared budget, exactly as the
         // walker interleaves them — deciding `StepLimitExceeded` vs. a
-        // real trap per lane.
-        let mut trapped = cx.trapped;
+        // real trap per lane. Only the current phase's lanes replay:
+        // lanes that retired before an in-place release were settled
+        // by it, and their fetch counts are stale.
+        match cx.lanes {
+            PhaseLanes::Started => self.settle(running.iter().copied(), cx.trapped, budget),
+            PhaseLanes::Range(lo, hi) => self.settle(lo..hi, cx.trapped, budget),
+            PhaseLanes::List(list) => self.settle(list.into_iter(), cx.trapped, budget),
+        }
+    }
+
+    /// The serial settlement of [`LanesRun::run_phase`] over `lanes`.
+    fn settle(
+        &mut self,
+        lanes: impl Iterator<Item = usize>,
+        mut trapped: Vec<(usize, ExecError)>,
+        budget: u64,
+    ) -> Result<(), ExecError> {
         let mut cum: u64 = 0;
-        for &l in running {
+        for l in lanes {
             let fetches = self.lane_fetches[l];
             if fetches == u64::MAX {
                 return Err(ExecError::StepLimitExceeded);
@@ -1813,7 +1884,26 @@ impl<'k> LanesRun<'k> {
                         }
                     }
                 }
-                Op::Barrier => return self.finish(cx, lanes, at, LaneStatus::AtBarrier),
+                Op::Barrier => {
+                    // Release in place when the group is the whole live
+                    // work-group: nothing queued behind it, no lane parked
+                    // or trapped this phase, and the phase's steps fit the
+                    // budget. Anything else parks the lanes for the
+                    // general release in `run_resumable`.
+                    let total = cx.sum_fetches.saturating_add(at.fetched.saturating_mul(n));
+                    let budget = self.step_limit - self.steps;
+                    if !cx.alone || cx.parked || cx.any_bad || total > budget {
+                        cx.parked = true;
+                        return self.finish(cx, lanes, at, LaneStatus::AtBarrier);
+                    }
+                    self.steps += total;
+                    self.stats.barriers += 1;
+                    self.stats.item_phases += n;
+                    cx.sum_fetches = 0;
+                    cx.cap = (budget - total).saturating_add(1);
+                    cx.released(lanes);
+                    at.fetched = 0;
+                }
                 Op::PipeRead { dst, pipe, ty } => {
                     // Pipe kernels are single-work-item tasks (enforced at
                     // construction), so this runs on `One`; a stalled lane
@@ -1990,7 +2080,7 @@ fn private_load(arena: &[u8], p: PtrValue, ty: ScalarType) -> Result<Value, Exec
 }
 
 fn private_store(arena: &mut [u8], p: PtrValue, v: Value) -> Result<(), ExecError> {
-    let len = v.scalar_type().expect("scalar").size_bytes();
+    let len = stored_type(p, v)?.size_bytes();
     let alen = arena.len();
     let off = usize::try_from(p.offset)
         .ok()

@@ -324,8 +324,7 @@ impl SharedGlobals<'_> {
     /// Returns [`MemAccessError`] for out-of-bounds, unknown or
     /// read-only buffers.
     pub fn store(&self, ptr: PtrValue, val: Value) -> Result<(), MemAccessError> {
-        let ty = val.scalar_type().expect("store of scalar");
-        let len = ty.size_bytes();
+        let len = stored_type(ptr, val)?.size_bytes();
         if ptr.space == AddressSpace::Constant {
             return Err(MemAccessError {
                 space: ptr.space,
@@ -389,8 +388,7 @@ impl Memory for WorkerMemory<'_, '_> {
         match ptr.space {
             AddressSpace::Global | AddressSpace::Constant => self.globals.store(ptr, val),
             AddressSpace::Local | AddressSpace::Private => {
-                let ty = val.scalar_type().expect("store of scalar");
-                let len = ty.size_bytes();
+                let len = stored_type(ptr, val)?.size_bytes();
                 let region = region_of(&mut self.locals.bufs, ptr, len)?;
                 let off = slice_off(region, ptr, len)?;
                 region[off..off + len].copy_from_slice(&val.to_le_bytes());
@@ -411,6 +409,19 @@ impl Memory for WorkerMemory<'_, '_> {
             AddressSpace::Private | AddressSpace::Pipe => None,
         }
     }
+}
+
+/// The scalar type of `val`, stored through `ptr`: a pointer has no
+/// byte representation, so storing one is an invalid access, not a
+/// panic.
+pub(crate) fn stored_type(ptr: PtrValue, val: Value) -> Result<ScalarType, MemAccessError> {
+    val.scalar_type().ok_or_else(|| MemAccessError {
+        space: ptr.space,
+        buffer: ptr.buffer,
+        offset: ptr.offset,
+        len: 0,
+        reason: format!("store of pointer value {val:?}"),
+    })
 }
 
 /// Look a buffer up in a slice-backed arena (`Private` never reaches a
@@ -533,8 +544,7 @@ impl Memory for VecMemory {
     }
 
     fn store(&mut self, ptr: PtrValue, val: Value) -> Result<(), MemAccessError> {
-        let ty = val.scalar_type().expect("store of scalar");
-        let len = ty.size_bytes();
+        let len = stored_type(ptr, val)?.size_bytes();
         if ptr.space == AddressSpace::Constant {
             return Err(MemAccessError {
                 space: ptr.space,
@@ -1081,7 +1091,7 @@ impl<'f> WorkGroupRun<'f> {
     }
 
     fn private_store(&mut self, item: usize, p: PtrValue, v: Value) -> Result<(), ExecError> {
-        let len = v.scalar_type().expect("scalar").size_bytes();
+        let len = stored_type(p, v)?.size_bytes();
         let arena = &mut self.items[item].private;
         let alen = arena.len();
         let off = usize::try_from(p.offset)
@@ -1449,5 +1459,31 @@ mod shape_tests {
         let p = PtrValue { space: AddressSpace::Global, buffer: buf, offset: -8 };
         assert!(mem.load(p, ScalarType::F64).is_err());
         assert!(mem.store(p, Value::F64(1.0)).is_err());
+    }
+
+    #[test]
+    fn storing_a_pointer_is_a_typed_error_on_every_memory() {
+        let ptr = Value::Ptr(PtrValue::new(AddressSpace::Global, 0));
+        let check = |res: Result<(), MemAccessError>, space: AddressSpace, buffer: u32| {
+            let err = res.expect_err("a pointer has no byte representation");
+            assert_eq!((err.space, err.buffer, err.offset, err.len), (space, buffer, 0, 0));
+            assert!(err.reason.starts_with("store of pointer value"), "{}", err.reason);
+        };
+        let mut vec_mem = VecMemory::new();
+        let g = vec_mem.alloc_global(16);
+        let l = vec_mem.alloc_local(16);
+        let global = PtrValue::new(AddressSpace::Global, g);
+        let local = PtrValue::new(AddressSpace::Local, l);
+        check(vec_mem.store(global, ptr), AddressSpace::Global, g);
+        check(vec_mem.store(local, ptr), AddressSpace::Local, l);
+
+        let mut arena = GlobalArena::new();
+        let g = arena.alloc(16);
+        let shared = arena.shared();
+        check(shared.store(PtrValue::new(AddressSpace::Global, g), ptr), AddressSpace::Global, g);
+        let mut worker = WorkerMemory::new(&shared);
+        let l = worker.alloc_local(16);
+        check(worker.store(PtrValue::new(AddressSpace::Global, g), ptr), AddressSpace::Global, g);
+        check(worker.store(PtrValue::new(AddressSpace::Local, l), ptr), AddressSpace::Local, l);
     }
 }

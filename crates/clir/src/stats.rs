@@ -309,6 +309,22 @@ impl ExecStats {
         self.block_execs.iter().sum()
     }
 
+    /// Instructions the engines interpreted: counted operations, memory
+    /// accesses of every space, pipe transfers, and one terminator per
+    /// executed basic block.
+    pub fn instructions(&self) -> u64 {
+        let m = &self.mem;
+        self.ops.total()
+            + m.global_loads
+            + m.global_stores
+            + m.local_loads
+            + m.local_stores
+            + m.private_accesses
+            + self.pipe_reads
+            + self.pipe_writes
+            + self.total_block_execs()
+    }
+
     /// Accumulate `other` into `self`.
     ///
     /// # Panics
@@ -441,6 +457,25 @@ mod tests {
         assert_eq!(s.ops.add64, 15);
         assert_eq!(s.mem.global_load_bytes, 24);
         assert_eq!(s.barriers, 6);
+    }
+
+    #[test]
+    fn instructions_count_ops_accesses_transfers_and_terminators() {
+        let mut s = ExecStats::with_blocks(2);
+        s.block_execs = vec![3, 4];
+        s.ops.add64 = 5;
+        s.ops.mov = 1;
+        s.mem.count_load(AddressSpace::Global, 8);
+        s.mem.count_store(AddressSpace::Local, 8);
+        s.mem.count_load(AddressSpace::Private, 8);
+        s.pipe_reads = 2;
+        s.pipe_writes = 3;
+        // Barriers, phases and stalls are not instructions.
+        s.barriers = 9;
+        s.item_phases = 9;
+        s.pipe_read_stalls = 9;
+        assert_eq!(s.instructions(), 7 + 6 + 3 + 5);
+        assert_eq!(s.scaled(3).instructions(), 3 * 21);
     }
 
     #[test]

@@ -372,3 +372,268 @@ fn pooled_shards_share_one_compiled_program() {
     let b = pool[2].price(&options).expect("prices");
     assert_eq!(a.prices, b.prices);
 }
+
+/// An IV.B-shaped triangle: row `r` of a work-group iterates levels
+/// `t = top-1` down to `r`, two barriers per level, so one row retires
+/// per level and the last group standing releases its barriers in
+/// place. `mirror` puts row `r` on lane `w-1-r`, so the low lanes retire
+/// first; `src[2j + r]` at level `j = top-1-t` runs out of bounds once
+/// `2j + r` reaches the buffer length; `split > 1` splits the lanes
+/// before each level's first barrier; at `t == diverge_at`, row 0 takes
+/// a barrier of its own.
+const TRIANGLE: &str = "__kernel void tri(__global double* out, __global const double* src,
+                  __local double* v, int top, int mirror, int split, int diverge_at) {
+    long n = get_local_size(0);
+    long l = get_local_id(0);
+    long row = l;
+    if (mirror != 0) {
+        row = n - 1 - l;
+    }
+    v[l] = 0.25 * (double)l;
+    barrier(CLK_LOCAL_MEM_FENCE);
+    double acc = 1.0;
+    for (long t = (long)top - 1; t >= row; t--) {
+        long j = (long)top - 1 - t;
+        double up = v[(l + 1) % n];
+        double here = v[l];
+        if ((l + j) % (long)split == 0) {
+            acc = acc * 0.5 + src[2 * j + row];
+        } else {
+            acc = acc - src[2 * j + row];
+        }
+        barrier(CLK_LOCAL_MEM_FENCE);
+        double next = fmax(0.5 * (up + here), acc);
+        if (t == (long)diverge_at && row == 0) {
+            v[l] = next;
+            barrier(CLK_LOCAL_MEM_FENCE);
+        } else {
+            v[l] = next;
+            barrier(CLK_LOCAL_MEM_FENCE);
+        }
+    }
+    out[get_global_id(0)] = v[l] + acc;
+}";
+
+/// Work-groups per triangle launch.
+const TRI_GROUPS: usize = 2;
+
+/// One launch of [`TRIANGLE`].
+#[derive(Debug, Clone, Copy)]
+struct Triangle {
+    local: usize,
+    top: i32,
+    mirror: bool,
+    split: i32,
+    diverge_at: i32,
+    src_len: usize,
+}
+
+impl Triangle {
+    /// The full triangle at `local` lanes (at least four levels), with
+    /// no split, no divergence and an in-bounds `src`.
+    fn ivb(local: usize, mirror: bool) -> Triangle {
+        let top = (local as i32 - 1).max(4);
+        Triangle { local, top, mirror, split: 1, diverge_at: -1, src_len: 2 * top as usize + 2 }
+    }
+
+    fn src(&self) -> Vec<f64> {
+        (0..self.src_len).map(|i| 0.125 * i as f64 - 0.5).collect()
+    }
+}
+
+/// Output bits or the exact error, kernel stats, counters, simulated time.
+type Launch = (
+    Result<Vec<u64>, String>,
+    Option<bop_clir::stats::ExecStats>,
+    bop_ocl::queue::QueueCounters,
+    f64,
+);
+
+fn launch_triangle(tri: Triangle, engine: Engine, workers: usize, step_limit: u64) -> Launch {
+    let ctx = Context::new(devices::gpu());
+    let queue = CommandQueue::new(&ctx);
+    queue.set_workers(workers);
+    queue.set_engine(engine);
+    queue.set_step_limit(step_limit);
+    let program = Program::from_source(&ctx, "tri.cl", TRIANGLE, &BuildOptions::default())
+        .expect("kernel builds");
+    let kernel = program.kernel("tri").expect("kernel tri");
+    let n = tri.local * TRI_GROUPS;
+    let out = ctx.create_buffer(8 * n);
+    let src = ctx.create_buffer(8 * tri.src_len);
+    queue.enqueue_write_f64(&src, &tri.src()).expect("write");
+    kernel.set_arg_buffer(0, &out);
+    kernel.set_arg_buffer(1, &src);
+    kernel.set_arg_local(2, 8 * tri.local);
+    kernel.set_arg_i32(3, tri.top);
+    kernel.set_arg_i32(4, tri.mirror as i32);
+    kernel.set_arg_i32(5, tri.split);
+    kernel.set_arg_i32(6, tri.diverge_at);
+    let launched = queue
+        .enqueue_nd_range(&kernel, bop_ocl::Dispatch::new(n, tri.local))
+        .map_err(|e| format!("{e:?}"));
+    let out = launched.map(|_| {
+        let mut vals = vec![0.0f64; n];
+        queue.enqueue_read_f64(&out, &mut vals).expect("read");
+        vals.iter().map(|v| v.to_bits()).collect()
+    });
+    (out, queue.kernel_stats("tri"), queue.counters(), queue.elapsed_s())
+}
+
+/// Group 0 of `tri` on the tree-walker outside the runtime, keeping the
+/// statistics of a failed run (releases done, for instance).
+fn walk_triangle_group(
+    tri: Triangle,
+    step_limit: u64,
+) -> (Result<(), bop_clir::interp::ExecError>, bop_clir::stats::ExecStats) {
+    use bop_clir::interp::{GroupShape, KernelArgValue as Arg, VecMemory, WorkGroupRun};
+    use bop_clir::Value;
+    let ctx = Context::new(devices::gpu());
+    let program = Program::from_source(&ctx, "tri.cl", TRIANGLE, &BuildOptions::default())
+        .expect("kernel builds");
+    let func = program.module().kernel("tri").expect("kernel tri");
+    let mut mem = VecMemory::new();
+    let out = mem.alloc_global(8 * tri.local * TRI_GROUPS);
+    let src = mem.alloc_global(8 * tri.src_len);
+    for (i, x) in tri.src().into_iter().enumerate() {
+        mem.write_f64(src, i, x);
+    }
+    let v = mem.alloc_local(8 * tri.local);
+    let int = |x: i32| Arg::Scalar(Value::I32(x));
+    let args = [
+        Arg::GlobalBuffer(out),
+        Arg::GlobalBuffer(src),
+        Arg::LocalBuffer(v),
+        int(tri.top),
+        int(tri.mirror as i32),
+        int(tri.split),
+        int(tri.diverge_at),
+    ];
+    let shape = GroupShape::linear(tri.local * TRI_GROUPS, tri.local, 0);
+    let mut run = WorkGroupRun::new(func, shape, &args, step_limit).expect("args bind");
+    let res = run.run(&mut mem, &bop_clir::mathlib::ExactMath);
+    (res, run.into_stats())
+}
+
+/// The least budget in `lo..=hi` for which `holds` (monotone, true at
+/// `hi`) is true.
+fn least_budget(mut lo: u64, mut hi: u64, holds: impl Fn(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// At each step budget (0: the default), both engines at 1 and 3
+/// workers give the walker's single-worker outcome: the same error
+/// payload, or the same output bits, stats, counters and simulated time.
+/// Returns the walker's outcomes.
+fn assert_triangle_matches_walker(tri: Triangle, budgets: &[u64]) -> Vec<Launch> {
+    budgets
+        .iter()
+        .map(|&b| {
+            let reference = launch_triangle(tri, Engine::Walk, 1, b);
+            for (engine, workers) in [(Engine::Walk, 3), (Engine::Lanes, 1), (Engine::Lanes, 3)] {
+                assert_eq!(
+                    launch_triangle(tri, engine, workers, b),
+                    reference,
+                    "{tri:?}, budget {b}: {engine} engine, {workers} worker(s)"
+                );
+            }
+            reference
+        })
+        .collect()
+}
+
+#[test]
+fn in_place_barrier_releases_match_the_walker_on_ivb_shaped_triangles() {
+    for local in [1, 2, 65, 1024] {
+        // `split` 3 divides each level's first phase into two groups, so
+        // that barrier takes the general release and the second one the
+        // in-place release. The 1024-lane cases are the expensive ones.
+        let shapes: &[(bool, i32)] = if local == 1024 {
+            &[(false, 1), (true, 3)]
+        } else {
+            &[(false, 1), (true, 1), (false, 3), (true, 3)]
+        };
+        for &(mirror, split) in shapes {
+            let tri = Triangle { split, ..Triangle::ivb(local, mirror) };
+            let (out, stats, ..) = &assert_triangle_matches_walker(tri, &[0])[0];
+            assert!(out.is_ok(), "{tri:?}: {out:?}");
+            let barriers = stats.as_ref().expect("launch recorded stats").barriers;
+            assert_eq!(barriers, (TRI_GROUPS * (1 + 2 * tri.top as usize)) as u64, "{tri:?}");
+        }
+    }
+}
+
+#[test]
+fn a_trap_after_in_place_releases_reports_the_walker_payload() {
+    for local in [1, 2, 65, 1024] {
+        for mirror in [false, true] {
+            // `src` ends where level 3's top row reads: an out-of-bounds
+            // load after seven releases. The least budget that reaches
+            // the trap separates it from the step-limit trap; with
+            // `mirror`, lanes retired before the last release precede the
+            // trapping lane, so a settlement that replays them runs out
+            // of budget first.
+            let full = Triangle::ivb(local, mirror);
+            let tri = Triangle { src_len: full.top as usize + 2, ..full };
+            let reach = least_budget(1, 1 << 40, |b| {
+                matches!(walk_triangle_group(tri, b).0, Err(bop_clir::interp::ExecError::Mem(_)))
+            });
+            let outcomes = assert_triangle_matches_walker(tri, &[reach - 1, reach, 0]);
+            let msgs: Vec<&String> = outcomes.iter().map(|o| o.0.as_ref().unwrap_err()).collect();
+            assert!(msgs[0].contains("StepLimitExceeded"), "{tri:?}: {}", msgs[0]);
+            for msg in &msgs[1..] {
+                assert!(msg.contains("out of bounds"), "{tri:?}: {msg}");
+            }
+        }
+    }
+}
+
+#[test]
+fn step_limit_exhausted_at_an_in_place_release_matches_the_walker() {
+    for local in [1, 2, 65, 1024] {
+        // At most 16 levels keeps the walker's budget search cheap.
+        let full = Triangle::ivb(local, false);
+        let tri = Triangle { top: full.top.min(16), ..full };
+        let releases = 1 + 2 * tri.top as u64;
+        // The least budget that completes the k-th release is exactly
+        // the steps up to it: with one step less, that release is the
+        // one that runs out.
+        let mut budgets = Vec::new();
+        for k in [1, 2, 3, 4, 5, releases] {
+            let at = least_budget(1, 1 << 40, |b| walk_triangle_group(tri, b).1.barriers >= k);
+            budgets.extend([at - 1, at]);
+        }
+        let total = least_budget(1, 1 << 40, |b| walk_triangle_group(tri, b).0.is_ok());
+        budgets.extend([total - 1, total]);
+        let outcomes = assert_triangle_matches_walker(tri, &budgets);
+        let ok: Vec<bool> = outcomes.iter().map(|o| o.0.is_ok()).collect();
+        let mut want = vec![false; budgets.len()];
+        *want.last_mut().expect("budgets") = true;
+        assert_eq!(ok, want, "{tri:?} at budgets {budgets:?}");
+    }
+}
+
+#[test]
+fn barrier_divergence_after_in_place_releases_reports_the_walker_positions() {
+    for local in [1, 2, 65, 1024] {
+        for mirror in [false, true] {
+            // Row 0 leaves by a barrier of its own at level 1, after four
+            // releases; a lone lane has nobody to diverge from.
+            let full = Triangle::ivb(local, mirror);
+            let tri = Triangle { diverge_at: full.top - 2, ..full };
+            let outcome = &assert_triangle_matches_walker(tri, &[0])[0].0;
+            match outcome {
+                Ok(_) => assert_eq!(local, 1, "{tri:?}"),
+                Err(msg) => assert!(msg.contains("BarrierDivergence"), "{tri:?}: {msg}"),
+            }
+        }
+    }
+}
