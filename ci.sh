@@ -12,6 +12,11 @@ cargo fmt --check
 echo "== cargo build --release =="
 cargo build --release
 
+# The benchmark is a package of its own, so `cargo test` never compiles
+# it; build it here so an API change cannot break it silently.
+echo "== perfbench build =="
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q =="
 cargo test -q
 
@@ -47,23 +52,6 @@ grep -q '"serve.options_per_j"' /tmp/serve_load_greeks.json
 echo "== vol_surface smoke =="
 ./target/release/vol_surface --strikes 7 --expiries 4 --repeats 3 --json \
   | grep -q '"experiment":"vol_surface"'
-
-# The deprecated untyped serve API (Vec<OptionParams> -> Vec<f64>) may
-# appear only at its definition site and in the one #[allow(deprecated)]
-# shim regression test; everything else must use the typed pair.
-# (cargo clippy -D warnings above already fails the build on any
-# deprecation warning; this grep additionally pins *where* the old names
-# are allowed to appear at all.)
-echo "== deprecated serve API stays quarantined =="
-stray=$(grep -rn 'submit_options\|price_options\|wait_prices' \
-  --include='*.rs' crates examples tests \
-  | grep -v '^crates/serve/src/service.rs:' \
-  | grep -v '^tests/serve.rs:' || true)
-if [ -n "${stray}" ]; then
-  echo "deprecated serve API used outside its quarantine:" >&2
-  echo "${stray}" >&2
-  exit 1
-fi
 
 # Smoke-run both kernel execution engines (walk and lanes) against each
 # other: the run asserts bit-identical prices/stats/counters/traces

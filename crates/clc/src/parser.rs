@@ -5,18 +5,31 @@ use crate::diag::{CompileError, Pos};
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use bop_clir::types::AddressSpace;
 
+/// The deepest nesting the parser accepts. Each nested statement,
+/// each expression entered (the whole right-hand side, a parenthesised or
+/// indexed sub-expression, a call argument, a ternary arm), each prefix
+/// operator and each link of a left-deep binary or postfix chain counts
+/// one level. The bound keeps every AST — and so the recursion of
+/// lowering, the passes and `Drop` over it — within a 2 MiB stack even
+/// in unoptimised builds, where one statement level of the parser takes
+/// about 15 KiB of stack.
+pub const MAX_NESTING: usize = 100;
+
 /// Parse a token stream into a [`Unit`].
 ///
 /// # Errors
-/// Returns a [`CompileError`] on the first syntax error.
+/// Returns a [`CompileError`] on the first syntax error, or where the
+/// source nests deeper than [`MAX_NESTING`].
 pub fn parse(tokens: &[Token]) -> Result<Unit, CompileError> {
-    let mut p = Parser { tokens, at: 0 };
+    let mut p = Parser { tokens, at: 0, depth: 0 };
     p.unit()
 }
 
 struct Parser<'t> {
     tokens: &'t [Token],
     at: usize,
+    /// Nesting levels open at the cursor (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'t> Parser<'t> {
@@ -79,6 +92,17 @@ impl<'t> Parser<'t> {
 
     fn error(&self, msg: impl Into<String>) -> CompileError {
         CompileError::single(self.pos(), msg)
+    }
+
+    /// Open one more nesting level, rejecting the source past
+    /// [`MAX_NESTING`] before the recursion gets deep. The caller closes
+    /// the level on success; an error ends the parse, so it need not.
+    fn deeper(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting exceeds the limit of {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     // ---- types -----------------------------------------------------------
@@ -200,6 +224,13 @@ impl<'t> Parser<'t> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.deeper()?;
+        let stmt = self.unguarded_stmt()?;
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn unguarded_stmt(&mut self) -> Result<Stmt, CompileError> {
         let pos = self.pos();
         // `#pragma unroll` binds to the following `for`.
         if let TokenKind::PragmaUnroll(factor) = self.peek_kind().clone() {
@@ -346,7 +377,7 @@ impl<'t> Parser<'t> {
                 if array.is_some() {
                     return Err(self.error("array initialisers are not supported"));
                 }
-                Some(self.assignment()?)
+                Some(self.expr()?)
             } else {
                 None
             };
@@ -363,7 +394,10 @@ impl<'t> Parser<'t> {
     // C precedence ladder, from the top.
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.assignment()
+        self.deeper()?;
+        let expr = self.assignment()?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn assignment(&mut self) -> Result<Expr, CompileError> {
@@ -379,7 +413,7 @@ impl<'t> Parser<'t> {
         };
         let pos = self.pos();
         self.bump();
-        let rhs = self.assignment()?; // right-associative
+        let rhs = self.expr()?; // right-associative
         Ok(Expr { pos, kind: ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) } })
     }
 
@@ -391,7 +425,9 @@ impl<'t> Parser<'t> {
         let pos = cond.pos;
         let then = self.expr()?;
         self.expect_punct(Punct::Colon)?;
+        self.deeper()?;
         let els = self.ternary()?;
+        self.depth -= 1;
         Ok(Expr {
             pos,
             kind: ExprKind::Ternary {
@@ -405,6 +441,7 @@ impl<'t> Parser<'t> {
     /// Binary operators by precedence-climbing. `min_prec` is the minimum
     /// precedence accepted at this level.
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = binary_op(self.peek_kind()) {
             if prec < min_prec {
@@ -412,46 +449,25 @@ impl<'t> Parser<'t> {
             }
             let pos = self.pos();
             self.bump();
+            // Each link deepens the left-deep tree by one level.
+            self.deeper()?;
             let rhs = self.binary(prec + 1)?;
             lhs =
                 Expr { pos, kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) } };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
         let pos = self.pos();
-        match self.peek_kind().clone() {
-            TokenKind::Punct(Punct::Minus) => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::Unary { op: UnaryOp::Neg, expr: Box::new(e) } })
-            }
-            TokenKind::Punct(Punct::Plus) => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::Unary { op: UnaryOp::Plus, expr: Box::new(e) } })
-            }
-            TokenKind::Punct(Punct::Not) => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::Unary { op: UnaryOp::Not, expr: Box::new(e) } })
-            }
-            TokenKind::Punct(Punct::Tilde) => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::Unary { op: UnaryOp::BitNot, expr: Box::new(e) } })
-            }
-            TokenKind::Punct(Punct::PlusPlus) => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::PreIncDec { expr: Box::new(e), inc: true } })
-            }
-            TokenKind::Punct(Punct::MinusMinus) => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::PreIncDec { expr: Box::new(e), inc: false } })
-            }
+        let prefix: fn(Box<Expr>) -> ExprKind = match self.peek_kind() {
+            TokenKind::Punct(Punct::Minus) => |expr| ExprKind::Unary { op: UnaryOp::Neg, expr },
+            TokenKind::Punct(Punct::Plus) => |expr| ExprKind::Unary { op: UnaryOp::Plus, expr },
+            TokenKind::Punct(Punct::Not) => |expr| ExprKind::Unary { op: UnaryOp::Not, expr },
+            TokenKind::Punct(Punct::Tilde) => |expr| ExprKind::Unary { op: UnaryOp::BitNot, expr },
+            TokenKind::Punct(Punct::PlusPlus) => |expr| ExprKind::PreIncDec { expr, inc: true },
+            TokenKind::Punct(Punct::MinusMinus) => |expr| ExprKind::PreIncDec { expr, inc: false },
             // Cast: `(` type `)` unary — distinguished from parenthesised
             // expressions by the type keyword.
             TokenKind::Punct(Punct::LParen)
@@ -463,14 +479,22 @@ impl<'t> Parser<'t> {
                 self.bump();
                 let ty = self.parse_type()?;
                 self.expect_punct(Punct::RParen)?;
+                self.deeper()?;
                 let e = self.unary()?;
-                Ok(Expr { pos, kind: ExprKind::Cast { ty, expr: Box::new(e) } })
+                self.depth -= 1;
+                return Ok(Expr { pos, kind: ExprKind::Cast { ty, expr: Box::new(e) } });
             }
-            _ => self.postfix(),
-        }
+            _ => return self.postfix(),
+        };
+        self.bump();
+        self.deeper()?;
+        let e = self.unary()?;
+        self.depth -= 1;
+        Ok(Expr { pos, kind: prefix(Box::new(e)) })
     }
 
     fn postfix(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut e = self.primary()?;
         loop {
             let pos = self.pos();
@@ -492,7 +516,7 @@ impl<'t> Parser<'t> {
                     let mut args = Vec::new();
                     if !self.eat_punct(Punct::RParen) {
                         loop {
-                            args.push(self.assignment()?);
+                            args.push(self.expr()?);
                             if self.eat_punct(Punct::RParen) {
                                 break;
                             }
@@ -509,8 +533,13 @@ impl<'t> Parser<'t> {
                     self.bump();
                     e = Expr { pos, kind: ExprKind::PostIncDec { expr: Box::new(e), inc: false } };
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
+            // Each link deepens the left-deep tree by one level.
+            self.deeper()?;
         }
     }
 

@@ -1,39 +1,22 @@
-//! IR optimisation passes: constant folding, DCE, CSE, copy propagation.
+//! Semantics tests of the IR optimisation passes [`crate::compile`] runs
+//! on freshly-lowered IR: constant folding, DCE, CSE and copy
+//! propagation. The passes themselves live in [`bop_clir::passes`], where
+//! the same code also backs the runtime's named pass pipelines; these
+//! tests pin their behaviour through the front-end.
 //!
-//! These mirror the scalar optimisations an HLS compiler applies before
-//! scheduling; they matter for the FPGA resource estimates (a folded
-//! constant costs no DSPs) and keep the dynamic op counts honest.
-//!
-//! The implementations live in [`bop_clir::passes`] — the same code backs
-//! both this front-end (cleaning up freshly-lowered IR) and the runtime's
-//! named pass pipeline (re-optimising modules before bytecode emission and
-//! running the SSA construction in [`bop_clir::passes::Pipeline::ssa`]).
-//! This module is a pure re-export layer keeping the front-end's
-//! historical names; the tests below pin the semantics of the shared
-//! implementations through [`crate::compile`].
-//!
-//! - [`fold_constants`]: per-block forward scan folding instructions whose
+//! - constant folding: per-block forward scan folding instructions whose
 //!   operands are provably constant into [`bop_clir::ir::Inst::Const`].
-//! - [`eliminate_dead_code`]: whole-function liveness; removes pure
-//!   instructions (loads included) whose results are never read, keeping
-//!   stores and barriers.
-//! - [`common_subexpression_elimination`]: local value numbering. Off by
-//!   default (see [`crate::Options::cse`]) — the FPGA resource model
-//!   charges hardware per instruction, so CSE changes Table-I-style
-//!   resource estimates; the ablation benches quantify by how much.
-//! - [`propagate_copies`]: rewrite uses of `Mov` destinations to the
-//!   original register so DCE can drop the copy; runs after CSE (which
-//!   introduces the copies).
+//! - DCE: whole-function liveness; removes pure instructions (loads
+//!   included) whose results are never read, keeping stores and barriers.
+//! - CSE: local value numbering. Off by default (see
+//!   [`crate::Options::cse`]) — the FPGA resource model charges hardware
+//!   per instruction, so CSE changes Table-I-style resource estimates.
+//! - copy propagation: rewrite uses of `Mov` destinations to the original
+//!   register so DCE can drop the copy; runs after CSE (which introduces
+//!   the copies).
 
-#[cfg(test)]
 use bop_clir::ir::Inst;
 
-pub use bop_clir::passes::{
-    eliminate_dead_code_in as eliminate_dead_code, fold_constants_in as fold_constants,
-    local_cse_in as common_subexpression_elimination, propagate_copies_in as propagate_copies,
-};
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{compile, Options};
@@ -128,7 +111,6 @@ mod tests {
     }
 }
 
-#[cfg(test)]
 mod cse_tests {
     use super::*;
     use crate::{compile, Options};
@@ -248,7 +230,6 @@ mod cse_tests {
     }
 }
 
-#[cfg(test)]
 mod copy_prop_tests {
     use super::*;
     use crate::{compile, Options};

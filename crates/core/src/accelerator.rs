@@ -251,7 +251,7 @@ pub struct PricingRun {
 /// The trace captured on one pricing session's queue: structured spans
 /// (host spans, queue commands, barrier phases — simulated seconds) plus
 /// how many spans the session's trace cap discarded. Returned by
-/// [`Accelerator::price_with_session_trace`] for callers that merge
+/// [`Accelerator::price_payoffs_with_session_trace`] for callers that merge
 /// session timelines into a larger [`TraceLog`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionTrace {
@@ -446,60 +446,6 @@ impl Accelerator {
         })
     }
 
-    /// Build an accelerator from positional arguments. `build` defaults
-    /// to the paper's published configuration for the architecture
-    /// (Section V.B).
-    ///
-    /// # Errors
-    /// Returns [`Error::Build`] if the kernel does not compile or fit.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Accelerator::builder(device).arch(..).precision(..).n_steps(..).build()`"
-    )]
-    pub fn new(
-        device: Arc<dyn Device>,
-        arch: KernelArch,
-        precision: Precision,
-        n_steps: usize,
-        build: Option<BuildOptions>,
-    ) -> Result<Accelerator, Error> {
-        let mut config = AcceleratorConfig::new(device);
-        config.arch = arch;
-        config.precision = precision;
-        config.n_steps = n_steps;
-        config.build = build;
-        Accelerator::from_config(config)
-    }
-
-    /// Publish queue and interpreter metrics of every session this
-    /// accelerator opens into `registry`, and set the device-model gauges
-    /// (power, bandwidth, overheads) immediately.
-    #[deprecated(since = "0.2.0", note = "use `AcceleratorBuilder::metrics`")]
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Accelerator {
-        publish_device_gauges(&registry, &self.device, self.arch, &self.report);
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Interpret NDRange work-groups on `workers` threads in every session
-    /// this accelerator opens (default: the queue's `BOP_SIM_WORKERS` /
-    /// available-parallelism heuristic). A wall-clock knob only — prices,
-    /// statistics and the simulated clock are identical for every count.
-    #[deprecated(since = "0.2.0", note = "use `AcceleratorBuilder::workers`")]
-    pub fn with_workers(mut self, workers: usize) -> Accelerator {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Switch the straightforward host program to the paper's "modified
-    /// version ... with a reduced number of read operations" (root-only
-    /// reads). No effect on the optimized architecture.
-    #[deprecated(since = "0.2.0", note = "use `AcceleratorBuilder::reduced_reads`")]
-    pub fn with_reduced_reads(mut self) -> Accelerator {
-        self.read_full = false;
-        self
-    }
-
     /// The build report (Table I shape: resources, Fmax, power, pass
     /// pipeline).
     pub fn report(&self) -> &BuildReport {
@@ -592,6 +538,7 @@ impl Accelerator {
         queue: &CommandQueue,
         program: &Program,
         options: &[OptionParams],
+        payoffs: Option<&[Payoff]>,
         n_steps: usize,
     ) -> Result<Vec<f64>, RuntimeError> {
         match self.arch {
@@ -615,20 +562,26 @@ impl Accelerator {
                 kernel_name: self.arch.kernel_name(),
             }
             .run(ctx, queue, program, options),
-            // Calibration and projection reach the payoff kernels through
-            // this generic path with no payoffs attached; a representative
-            // default of the class (never-knocking barrier, every-step
-            // exercise) keeps the instruction stream identical to any
-            // real payoff of the same class. Pricing goes through
-            // [`Accelerator::price_payoffs`], which carries real payoffs.
+            // Calibration and projection reach the payoff kernels with no
+            // payoffs attached; a representative default of the class
+            // (never-knocking barrier, every-step exercise) keeps the
+            // instruction stream identical to any real payoff of the same
+            // class.
             KernelArch::Barrier | KernelArch::Bermudan => {
-                let payoffs = vec![calibration_payoff(self.arch); options.len()];
+                let defaults;
+                let payoffs = match payoffs {
+                    Some(payoffs) => payoffs,
+                    None => {
+                        defaults = vec![calibration_payoff(self.arch); options.len()];
+                        &defaults
+                    }
+                };
                 PayoffHost {
                     n_steps,
                     precision: self.precision,
                     kernel_name: self.arch.kernel_name(),
                 }
-                .run(ctx, queue, program, options, &payoffs)
+                .run(ctx, queue, program, options, payoffs)
             }
             KernelArch::Streaming => StreamingHost { n_steps, precision: self.precision }
                 .run(ctx, queue, program, options),
@@ -662,7 +615,7 @@ impl Accelerator {
     /// Propagates build and runtime failures; rejects empty or invalid
     /// batches.
     pub fn price(&self, options: &[OptionParams]) -> Result<PricingRun, Error> {
-        Ok(self.price_inner(options, false)?.0)
+        Ok(self.price_session(options, None, false)?.0)
     }
 
     /// Like [`Accelerator::price`], but with command tracing enabled on
@@ -673,7 +626,7 @@ impl Accelerator {
     /// # Errors
     /// Same as [`Accelerator::price`].
     pub fn price_traced(&self, options: &[OptionParams]) -> Result<(PricingRun, Json), Error> {
-        let (run, trace) = self.price_inner(options, true)?;
+        let (run, trace) = self.price_session(options, None, true)?;
         let trace = trace.expect("trace requested");
         let mut log = TraceLog::new();
         for span in trace.spans {
@@ -681,48 +634,6 @@ impl Accelerator {
         }
         log.note_dropped(trace.dropped);
         Ok((run, log.to_chrome_json()))
-    }
-
-    /// Like [`Accelerator::price_traced`], but returns the session's
-    /// structured spans instead of a rendered Chrome document, so a
-    /// caller (e.g. the serving layer) can reparent and merge them into
-    /// a larger trace.
-    ///
-    /// # Errors
-    /// Same as [`Accelerator::price`].
-    pub fn price_with_session_trace(
-        &self,
-        options: &[OptionParams],
-    ) -> Result<(PricingRun, SessionTrace), Error> {
-        let (run, trace) = self.price_inner(options, true)?;
-        Ok((run, trace.expect("trace requested")))
-    }
-
-    fn price_inner(
-        &self,
-        options: &[OptionParams],
-        traced: bool,
-    ) -> Result<(PricingRun, Option<SessionTrace>), Error> {
-        if options.is_empty() {
-            return Err(Error::Invalid("empty batch".into()));
-        }
-        if matches!(self.arch, KernelArch::Barrier | KernelArch::Bermudan) {
-            return Err(Error::Invalid(format!(
-                "{} prices per-option payoffs; use `price_payoffs`",
-                self.arch
-            )));
-        }
-        for o in options {
-            o.validate().map_err(|e| Error::Invalid(e.to_string()))?;
-        }
-        let (ctx, queue, program) = self.fresh_session(true)?;
-        if traced {
-            queue.enable_trace();
-        }
-        let prices = self.run_host(&ctx, &queue, &program, options, self.n_steps)?;
-        let reference: Vec<f64> =
-            options.iter().map(|o| binomial::price_american_f64(o, self.n_steps)).collect();
-        Ok(self.finish_run(&queue, prices, &reference, traced))
     }
 
     /// Price a batch where every option carries its own [`Payoff`]
@@ -745,7 +656,7 @@ impl Accelerator {
         options: &[OptionParams],
         payoffs: &[Payoff],
     ) -> Result<PricingRun, Error> {
-        Ok(self.price_payoffs_inner(options, payoffs, false)?.0)
+        Ok(self.price_session(options, Some(payoffs), false)?.0)
     }
 
     /// Like [`Accelerator::price_payoffs`], but with command tracing
@@ -759,30 +670,44 @@ impl Accelerator {
         options: &[OptionParams],
         payoffs: &[Payoff],
     ) -> Result<(PricingRun, SessionTrace), Error> {
-        let (run, trace) = self.price_payoffs_inner(options, payoffs, true)?;
+        let (run, trace) = self.price_session(options, Some(payoffs), true)?;
         Ok((run, trace.expect("trace requested")))
     }
 
-    fn price_payoffs_inner(
+    /// The one pricing session behind every `price*` entry point:
+    /// validate, run the host program on a fresh session, drain the
+    /// simulated clock, score the prices and publish energy gauges.
+    /// Without `payoffs` the reference exercises per each option's
+    /// `style`; with them, per the same payoffs.
+    fn price_session(
         &self,
         options: &[OptionParams],
-        payoffs: &[Payoff],
+        payoffs: Option<&[Payoff]>,
         traced: bool,
     ) -> Result<(PricingRun, Option<SessionTrace>), Error> {
         if options.is_empty() {
             return Err(Error::Invalid("empty batch".into()));
         }
-        if options.len() != payoffs.len() {
-            return Err(Error::Invalid(format!(
-                "{} options but {} payoffs",
-                options.len(),
-                payoffs.len()
-            )));
+        match payoffs {
+            None if matches!(self.arch, KernelArch::Barrier | KernelArch::Bermudan) => {
+                return Err(Error::Invalid(format!(
+                    "{} prices per-option payoffs; use `price_payoffs`",
+                    self.arch
+                )));
+            }
+            Some(payoffs) if payoffs.len() != options.len() => {
+                return Err(Error::Invalid(format!(
+                    "{} options but {} payoffs",
+                    options.len(),
+                    payoffs.len()
+                )));
+            }
+            _ => {}
         }
         for o in options {
             o.validate().map_err(|e| Error::Invalid(e.to_string()))?;
         }
-        for p in payoffs {
+        for p in payoffs.unwrap_or_default() {
             p.validate().map_err(|e| Error::Invalid(e.to_string()))?;
             if !self.accepts_payoff(*p) {
                 return Err(Error::Invalid(format!("{} cannot price a {p} payoff", self.arch)));
@@ -792,40 +717,22 @@ impl Accelerator {
         if traced {
             queue.enable_trace();
         }
-        let prices = match self.arch {
-            KernelArch::Barrier | KernelArch::Bermudan => PayoffHost {
-                n_steps: self.n_steps,
-                precision: self.precision,
-                kernel_name: self.arch.kernel_name(),
-            }
-            .run(&ctx, &queue, &program, options, payoffs)?,
-            _ => self.run_host(&ctx, &queue, &program, options, self.n_steps)?,
+        let prices = self.run_host(&ctx, &queue, &program, options, payoffs, self.n_steps)?;
+        let reference: Vec<f64> = match payoffs {
+            None => options.iter().map(|o| binomial::price_american_f64(o, self.n_steps)).collect(),
+            Some(payoffs) => options
+                .iter()
+                .zip(payoffs)
+                .map(|(o, p)| price_payoff_f64(o, *p, self.n_steps))
+                .collect(),
         };
-        let reference: Vec<f64> = options
-            .iter()
-            .zip(payoffs)
-            .map(|(o, p)| price_payoff_f64(o, *p, self.n_steps))
-            .collect();
-        Ok(self.finish_run(&queue, prices, &reference, traced))
-    }
 
-    /// Close out a pricing session: drain the simulated clock, score the
-    /// prices against `reference`, publish energy gauges and assemble the
-    /// [`PricingRun`]. Shared by the style-based and payoff-based paths
-    /// so both account identically.
-    fn finish_run(
-        &self,
-        queue: &CommandQueue,
-        prices: Vec<f64>,
-        reference: &[f64],
-        traced: bool,
-    ) -> (PricingRun, Option<SessionTrace>) {
         let elapsed_s = queue.finish();
         let device_busy_s = queue.device_busy_s();
         let watts = self.report.power_watts;
 
-        let rmse = metrics::rmse(&prices, reference);
-        let max_abs_error = metrics::max_abs_error(&prices, reference);
+        let rmse = metrics::rmse(&prices, &reference);
+        let max_abs_error = metrics::max_abs_error(&prices, &reference);
 
         let options_per_s = prices.len() as f64 / elapsed_s;
         let joules = watts * elapsed_s;
@@ -839,21 +746,19 @@ impl Accelerator {
         }
         let trace = traced
             .then(|| SessionTrace { spans: queue.trace_spans(), dropped: queue.trace_dropped() });
-        (
-            PricingRun {
-                prices,
-                elapsed_s,
-                device_busy_s,
-                watts,
-                joules,
-                options_per_s,
-                options_per_j: options_per_s / watts,
-                nodes_per_s: options_per_s * tree_nodes(self.n_steps) as f64,
-                rmse,
-                max_abs_error,
-            },
-            trace,
-        )
+        let run = PricingRun {
+            prices,
+            elapsed_s,
+            device_busy_s,
+            watts,
+            joules,
+            options_per_s,
+            options_per_j: options_per_s / watts,
+            nodes_per_s: options_per_s * tree_nodes(self.n_steps) as f64,
+            rmse,
+            max_abs_error,
+        };
+        Ok((run, trace))
     }
 
     /// Calibrate the per-option statistics model from small functional
@@ -888,7 +793,7 @@ impl Accelerator {
     pub fn measure_per_option(&self, n: usize) -> Result<bop_clir::stats::ExecStats, Error> {
         let (ctx, queue, program) = self.fresh_session(false)?;
         let options = [OptionParams::example()];
-        self.run_host(&ctx, &queue, &program, &options, n)?;
+        self.run_host(&ctx, &queue, &program, &options, None, n)?;
         let stats = queue
             .kernel_stats(self.arch.kernel_name())
             .ok_or_else(|| Error::Invalid("no kernel statistics recorded".into()))?;
@@ -943,7 +848,7 @@ impl Accelerator {
         // but the host program still derives buffer sizes and command
         // counts from it.
         let options = vec![OptionParams::example(); n_options];
-        self.run_host(&ctx, &queue, &program, &options, self.n_steps)?;
+        self.run_host(&ctx, &queue, &program, &options, None, self.n_steps)?;
         let elapsed_s = queue.finish();
         let counters = queue.counters();
         let watts = self.report.power_watts;
@@ -1268,6 +1173,48 @@ mod tests {
                 .build(),
             Err(Error::Invalid(_))
         ));
+
+        let invalid = |r: Result<PricingRun, Error>| match r {
+            Err(Error::Invalid(msg)) => msg,
+            Err(e) => panic!("expected Error::Invalid, got {e}"),
+            Ok(_) => panic!("expected Error::Invalid, got prices"),
+        };
+        let example = OptionParams::example();
+        let barrier = Accelerator::builder(crate::devices::gpu())
+            .arch(KernelArch::Barrier)
+            .n_steps(16)
+            .build()
+            .expect("builds");
+        let bermudan = Accelerator::builder(crate::devices::gpu())
+            .arch(KernelArch::Bermudan)
+            .n_steps(16)
+            .build()
+            .expect("builds");
+        // Validation order: empty batch, then the payoff-arch rejection or
+        // the length mismatch, then options, then payoffs.
+        assert_eq!(invalid(barrier.price(&[])), "empty batch");
+        assert_eq!(invalid(barrier.price_payoffs(&[], &[Payoff::American])), "empty batch");
+        for payoff_acc in [&barrier, &bermudan] {
+            let msg = invalid(payoff_acc.price(&[bad]));
+            assert!(msg.contains("use `price_payoffs`"), "{msg}");
+        }
+        assert_eq!(
+            invalid(acc.price_payoffs(&[bad, example], &[Payoff::American])),
+            "2 options but 1 payoffs"
+        );
+        let msg = invalid(barrier.price_payoffs(&[example], &[Payoff::American]));
+        assert!(msg.contains("cannot price"), "{msg}");
+        let never_exercised = Payoff::Bermudan { exercise_every: 0 };
+        let msg = invalid(bermudan.price_payoffs(&[example], &[never_exercised]));
+        assert!(!msg.contains("cannot price"), "payoff validity is checked first: {msg}");
+        let msg = invalid(bermudan.price_payoffs(&[bad], &[never_exercised]));
+        assert_eq!(msg, bad.validate().expect_err("invalid option").to_string());
+
+        let options = [example, OptionParams { strike: 90.0, ..example }];
+        let (traced, _) = acc.price_traced(&options).expect("traced prices");
+        let plain = acc.price(&options).expect("prices");
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&traced.prices), bits(&plain.prices), "tracing changes no price");
     }
 }
 
@@ -1298,26 +1245,6 @@ mod builder_tests {
         let run_a = a.price(&options).expect("prices");
         let run_b = b.price(&options).expect("prices");
         assert_eq!(run_a.prices, run_b.prices, "clones are bit-identical");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_matches_the_builder() {
-        let via_shim = Accelerator::new(
-            crate::devices::gpu(),
-            KernelArch::Optimized,
-            Precision::Double,
-            32,
-            None,
-        )
-        .expect("builds");
-        let via_builder =
-            Accelerator::builder(crate::devices::gpu()).n_steps(32).build().expect("builds");
-        let options = [OptionParams::example()];
-        assert_eq!(
-            via_shim.price(&options).expect("prices").prices,
-            via_builder.price(&options).expect("prices").prices,
-        );
     }
 }
 

@@ -861,33 +861,7 @@ impl CommandQueue {
     /// # Errors
     /// Returns [`RuntimeError::Invalid`] if `data` exceeds the buffer size.
     pub fn enqueue_write_buffer(&self, buf: &Buffer, data: &[u8]) -> Result<Event, RuntimeError> {
-        if data.len() > buf.len() {
-            return Err(RuntimeError::Invalid(format!(
-                "write of {} bytes into buffer of {}",
-                data.len(),
-                buf.len()
-            )));
-        }
-        let corrupt = self.fault_transfer(CommandKind::Write, data.len() as u64)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = &mut mem.bytes_mut(buf.id)[..data.len()];
-            bytes.copy_from_slice(data);
-            if let Some((byte, bit, _)) = corrupt {
-                bytes[byte as usize % data.len()] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Write, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(data.len() as u64);
-        let ev_bytes = data.len() as u64;
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.writes += 1;
-            st.counters.h2d_bytes += ev_bytes;
-        }
-        Ok(self.advance(CommandKind::Write, ev_bytes, None, LaunchShape::default(), t, None))
+        self.transfer(buf, 0, HostSlice::Src(data))
     }
 
     /// Copy `buf` into `out` (`clEnqueueReadBuffer`).
@@ -895,31 +869,7 @@ impl CommandQueue {
     /// # Errors
     /// Returns [`RuntimeError::Invalid`] if `out` exceeds the buffer size.
     pub fn enqueue_read_buffer(&self, buf: &Buffer, out: &mut [u8]) -> Result<Event, RuntimeError> {
-        if out.len() > buf.len() {
-            return Err(RuntimeError::Invalid(format!(
-                "read of {} bytes from buffer of {}",
-                out.len(),
-                buf.len()
-            )));
-        }
-        let corrupt = self.fault_transfer(CommandKind::Read, out.len() as u64)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mem = self.ctx.mem.lock().unwrap();
-            out.copy_from_slice(&mem.bytes(buf.id)[..out.len()]);
-            if let Some((byte, bit, _)) = corrupt {
-                out[byte as usize % out.len()] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Read, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(out.len() as u64);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.reads += 1;
-            st.counters.d2h_bytes += out.len() as u64;
-        }
-        Ok(self.advance(CommandKind::Read, out.len() as u64, None, LaunchShape::default(), t, None))
+        self.transfer(buf, 0, HostSlice::Dst(out))
     }
 
     /// Write a slice of `f64` values starting at element `offset`.
@@ -933,37 +883,7 @@ impl CommandQueue {
         offset: usize,
         data: &[f64],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, data.len(), 8)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-                RuntimeError::Invalid(format!(
-                    "write of {} f64 at offset {offset} into buffer of {} bytes",
-                    data.len(),
-                    buf.len()
-                ))
-            })?;
-        let nbytes = (data.len() * 8) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Write, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes_mut(buf.id);
-            for (i, v) in data.iter().enumerate() {
-                bytes[byte_off + i * 8..byte_off + i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-            }
-            if let Some((byte, bit, _)) = corrupt {
-                bytes[byte_off + (byte % nbytes) as usize] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Write, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.writes += 1;
-            st.counters.h2d_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Write, nbytes, None, LaunchShape::default(), t, None))
+        self.transfer(buf, offset, HostSlice::Src(data))
     }
 
     /// Write a slice of `f64` values at the start of `buf`.
@@ -986,41 +906,7 @@ impl CommandQueue {
         offset: usize,
         out: &mut [f64],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, out.len(), 8)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-            RuntimeError::Invalid(format!(
-                "read of {} f64 at offset {offset} from buffer of {} bytes",
-                out.len(),
-                buf.len()
-            ))
-        })?;
-        let nbytes = (out.len() * 8) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Read, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes(buf.id);
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = f64::from_le_bytes(
-                    bytes[byte_off + i * 8..byte_off + i * 8 + 8].try_into().expect("f64"),
-                );
-            }
-            if let Some((byte, bit, _)) = corrupt {
-                let idx = (byte % nbytes) as usize;
-                let flip = 1u64 << ((idx % 8) * 8 + bit as usize);
-                out[idx / 8] = f64::from_bits(out[idx / 8].to_bits() ^ flip);
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Read, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.reads += 1;
-            st.counters.d2h_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Read, nbytes, None, LaunchShape::default(), t, None))
+        self.transfer(buf, offset, HostSlice::Dst(out))
     }
 
     /// Read `f64` values from the start of `buf`.
@@ -1043,37 +929,7 @@ impl CommandQueue {
         offset: usize,
         data: &[f32],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, data.len(), 4)
-            .filter(|&(_, end)| end <= buf.len())
-            .ok_or_else(|| {
-                RuntimeError::Invalid(format!(
-                    "write of {} f32 at offset {offset} into buffer of {} bytes",
-                    data.len(),
-                    buf.len()
-                ))
-            })?;
-        let nbytes = (data.len() * 4) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Write, nbytes)?;
-        if self.timing_model.lock().unwrap().is_none() {
-            let mut mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes_mut(buf.id);
-            for (i, v) in data.iter().enumerate() {
-                bytes[byte_off + i * 4..byte_off + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
-            }
-            if let Some((byte, bit, _)) = corrupt {
-                bytes[byte_off + (byte % nbytes) as usize] ^= 1 << bit;
-            }
-        }
-        if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Write, fault));
-        }
-        let t = self.ctx.device().info().link.transfer_time(nbytes);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.counters.writes += 1;
-            st.counters.h2d_bytes += nbytes;
-        }
-        Ok(self.advance(CommandKind::Write, nbytes, None, LaunchShape::default(), t, None))
+        self.transfer(buf, offset, HostSlice::Src(data))
     }
 
     /// Read `f32` values starting at element `offset`.
@@ -1087,41 +943,82 @@ impl CommandQueue {
         offset: usize,
         out: &mut [f32],
     ) -> Result<Event, RuntimeError> {
-        let (byte_off, _) = elem_range(offset, out.len(), 4)
+        self.transfer(buf, offset, HostSlice::Dst(out))
+    }
+
+    /// The one host-transfer body behind every `enqueue_{write,read}_*`
+    /// front end: bounds check, fault draw, the little-endian copy of the
+    /// byte range `offset * T::WIDTH..` (skipped in timing-only mode),
+    /// the injected bit flip of transferred byte `byte % nbytes`, then
+    /// link time, counters and the clock. A failed transfer costs no
+    /// simulated time and is not counted.
+    fn transfer<T: LeBytes>(
+        &self,
+        buf: &Buffer,
+        offset: usize,
+        mut host: HostSlice<'_, T>,
+    ) -> Result<Event, RuntimeError> {
+        let (kind, count) = match &host {
+            HostSlice::Src(data) => (CommandKind::Write, data.len()),
+            HostSlice::Dst(out) => (CommandKind::Read, out.len()),
+        };
+        let (byte_off, byte_end) = elem_range(offset, count, T::WIDTH)
             .filter(|&(_, end)| end <= buf.len())
             .ok_or_else(|| {
-            RuntimeError::Invalid(format!(
-                "read of {} f32 at offset {offset} from buffer of {} bytes",
-                out.len(),
-                buf.len()
-            ))
-        })?;
-        let nbytes = (out.len() * 4) as u64;
-        let corrupt = self.fault_transfer(CommandKind::Read, nbytes)?;
+                let (verb, prep) =
+                    if kind == CommandKind::Write { ("write", "into") } else { ("read", "from") };
+                RuntimeError::Invalid(match T::NAME {
+                    None => format!("{verb} of {count} bytes {prep} buffer of {}", buf.len()),
+                    Some(ty) => format!(
+                        "{verb} of {count} {ty} at offset {offset} {prep} buffer of {} bytes",
+                        buf.len()
+                    ),
+                })
+            })?;
+        let nbytes = (byte_end - byte_off) as u64;
+        let corrupt = self.fault_transfer(kind, nbytes)?;
         if self.timing_model.lock().unwrap().is_none() {
-            let mem = self.ctx.mem.lock().unwrap();
-            let bytes = mem.bytes(buf.id);
-            for (i, v) in out.iter_mut().enumerate() {
-                *v = f32::from_le_bytes(
-                    bytes[byte_off + i * 4..byte_off + i * 4 + 4].try_into().expect("f32"),
-                );
-            }
-            if let Some((byte, bit, _)) = corrupt {
-                let idx = (byte % nbytes) as usize;
-                let flip = 1u32 << ((idx % 4) * 8 + bit as usize);
-                out[idx / 4] = f32::from_bits(out[idx / 4].to_bits() ^ flip);
+            let flip = corrupt.as_ref().map(|&(byte, bit, _)| ((byte % nbytes) as usize, bit));
+            let mut mem = self.ctx.mem.lock().unwrap();
+            let device = &mut mem.bytes_mut(buf.id)[byte_off..byte_end];
+            match &mut host {
+                HostSlice::Src(data) => {
+                    for (v, le) in data.iter().zip(device.chunks_exact_mut(T::WIDTH)) {
+                        v.put_le(le);
+                    }
+                    if let Some((idx, bit)) = flip {
+                        device[idx] ^= 1 << bit;
+                    }
+                }
+                HostSlice::Dst(out) => {
+                    for (v, le) in out.iter_mut().zip(device.chunks_exact(T::WIDTH)) {
+                        *v = T::get_le(le);
+                    }
+                    if let Some((idx, bit)) = flip {
+                        let v = &mut out[idx / T::WIDTH];
+                        let mut le = [0u8; 8];
+                        v.put_le(&mut le[..T::WIDTH]);
+                        le[idx % T::WIDTH] ^= 1 << bit;
+                        *v = T::get_le(&le[..T::WIDTH]);
+                    }
+                }
             }
         }
         if let Some((_, _, fault)) = corrupt {
-            return Err(self.fail_fault(CommandKind::Read, fault));
+            return Err(self.fail_fault(kind, fault));
         }
         let t = self.ctx.device().info().link.transfer_time(nbytes);
         {
             let mut st = self.state.lock().unwrap();
-            st.counters.reads += 1;
-            st.counters.d2h_bytes += nbytes;
+            if kind == CommandKind::Write {
+                st.counters.writes += 1;
+                st.counters.h2d_bytes += nbytes;
+            } else {
+                st.counters.reads += 1;
+                st.counters.d2h_bytes += nbytes;
+            }
         }
-        Ok(self.advance(CommandKind::Read, nbytes, None, LaunchShape::default(), t, None))
+        Ok(self.advance(kind, nbytes, None, LaunchShape::default(), t, None))
     }
 
     /// Write a slice of `i32` values at the start of `buf`.
@@ -1699,6 +1596,42 @@ fn interpret_groups(
     Ok(total)
 }
 
+/// The host side of a transfer: the slice a write copies from or a read
+/// copies into.
+enum HostSlice<'a, T> {
+    Src(&'a [T]),
+    Dst(&'a mut [T]),
+}
+
+/// A host element type the transfer commands move, as its little-endian
+/// bytes.
+trait LeBytes: Copy {
+    /// Bytes per element (at most 8).
+    const WIDTH: usize;
+    /// The element name error messages use; `None` for raw bytes, whose
+    /// commands take no offset.
+    const NAME: Option<&'static str>;
+    fn put_le(self, le: &mut [u8]);
+    fn get_le(le: &[u8]) -> Self;
+}
+
+macro_rules! le_bytes {
+    ($($t:ty => $name:expr),*) => {$(
+        impl LeBytes for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            const NAME: Option<&'static str> = $name;
+            fn put_le(self, le: &mut [u8]) {
+                le.copy_from_slice(&self.to_le_bytes());
+            }
+            fn get_le(le: &[u8]) -> Self {
+                <$t>::from_le_bytes(le.try_into().expect("one element's bytes"))
+            }
+        }
+    )*};
+}
+
+le_bytes!(u8 => None, f32 => Some("f32"), f64 => Some("f64"));
+
 /// Byte offset and exclusive byte end of an element-range access, or
 /// `None` when the arithmetic overflows `usize` — release builds would
 /// otherwise wrap, pass the bounds check, and panic on slice indexing
@@ -1822,13 +1755,83 @@ mod tests {
         ));
     }
 
+    /// Byte and bit of the 32-byte transfer payload that the first
+    /// transfer draw of seed 42 corrupts.
+    const FLIP_SEED_42: (usize, u32) = (18, 4);
+
+    /// The host-transfer flavours: element type name and width.
+    const FLAVOURS: [(&str, usize); 3] = [("u8", 1), ("f64", 8), ("f32", 4)];
+
+    /// Run one transfer of `payload` (little-endian bytes) through the
+    /// `ty` front end at element `offset` (`u8` transfers start at 0).
+    /// Reads return what landed in the host slice, as bytes.
+    fn transfer(
+        q: &CommandQueue,
+        buf: &Buffer,
+        ty: &str,
+        write: bool,
+        offset: usize,
+        payload: &[u8],
+    ) -> (Result<Event, RuntimeError>, Vec<u8>) {
+        let f64s = || -> Vec<f64> {
+            payload.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
+        };
+        let f32s = || -> Vec<f32> {
+            payload.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect()
+        };
+        match (ty, write) {
+            ("u8", true) => (q.enqueue_write_buffer(buf, payload), vec![]),
+            ("u8", false) => {
+                let mut out = vec![0u8; payload.len()];
+                (q.enqueue_read_buffer(buf, &mut out), out)
+            }
+            ("f64", true) => (q.enqueue_write_f64_at(buf, offset, &f64s()), vec![]),
+            ("f64", false) => {
+                let mut out = vec![0.0f64; payload.len() / 8];
+                let r = q.enqueue_read_f64_at(buf, offset, &mut out);
+                (r, out.iter().flat_map(|v| v.to_le_bytes()).collect())
+            }
+            ("f32", true) => (q.enqueue_write_f32_at(buf, offset, &f32s()), vec![]),
+            ("f32", false) => {
+                let mut out = vec![0.0f32; payload.len() / 4];
+                let r = q.enqueue_read_f32_at(buf, offset, &mut out);
+                (r, out.iter().flat_map(|v| v.to_le_bytes()).collect())
+            }
+            _ => unreachable!("unknown flavour {ty}"),
+        }
+    }
+
     #[test]
     fn oversized_transfers_rejected() {
         let (ctx, q, _p) = setup("__kernel void k(__global double* io) {}");
         let buf = ctx.create_buffer(8);
-        assert!(q.enqueue_write_f64(&buf, &[1.0, 2.0]).is_err());
-        let mut out = [0.0; 2];
-        assert!(q.enqueue_read_f64(&buf, &mut out).is_err());
+        let cases = [
+            ("u8", true, 0, 9, "write of 9 bytes into buffer of 8"),
+            ("u8", false, 0, 9, "read of 9 bytes from buffer of 8"),
+            ("f64", true, 0, 16, "write of 2 f64 at offset 0 into buffer of 8 bytes"),
+            ("f64", false, 0, 16, "read of 2 f64 at offset 0 from buffer of 8 bytes"),
+            ("f64", true, 1, 8, "write of 1 f64 at offset 1 into buffer of 8 bytes"),
+            ("f32", true, 2, 4, "write of 1 f32 at offset 2 into buffer of 8 bytes"),
+            ("f32", false, 2, 4, "read of 1 f32 at offset 2 from buffer of 8 bytes"),
+            ("f32", false, 0, 12, "read of 3 f32 at offset 0 from buffer of 8 bytes"),
+        ];
+        for (ty, write, offset, nbytes, text) in cases {
+            match transfer(&q, &buf, ty, write, offset, &vec![0u8; nbytes]).0 {
+                Err(RuntimeError::Invalid(msg)) => assert_eq!(msg, text),
+                other => panic!("{ty} write={write}: expected Invalid, got {other:?}"),
+            }
+        }
+        // Offsets whose byte arithmetic overflows are rejected, not wrapped.
+        let mut out = [0.0; 1];
+        match q.enqueue_read_f64_at(&buf, usize::MAX, &mut out) {
+            Err(RuntimeError::Invalid(msg)) => assert_eq!(
+                msg,
+                format!("read of 1 f64 at offset {} from buffer of 8 bytes", usize::MAX)
+            ),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(q.elapsed_s(), 0.0, "rejected transfers cost no simulated time");
+        assert_eq!(q.counters().writes + q.counters().reads, 0);
     }
 
     #[test]
@@ -2056,43 +2059,70 @@ mod tests {
     #[test]
     fn fault_plan_injects_typed_detected_failures() {
         use crate::faults::{FaultPlan, FaultSites};
-        let (ctx, q, _p) = setup("__kernel void k(__global double* io) {}");
-        let reg = Arc::new(MetricsRegistry::new());
-        q.attach_metrics(reg.clone());
-        q.enable_trace();
-        // Transfer-only faults at rate 1: the first write must fail with
-        // a typed corruption fault and flip exactly one device bit.
-        q.set_fault_plan(FaultPlan::new(1.0, 42).with_sites(FaultSites {
-            transfer: true,
-            enqueue: false,
-            stall: false,
-            trap: false,
-        }));
-        let buf = ctx.create_buffer(4 * 8);
-        let before = q.elapsed_s();
-        let err = q.enqueue_write_f64(&buf, &[1.0; 4]).expect_err("transfer fault");
-        match &err {
-            RuntimeError::Fault(f) => assert_eq!(f.site, FaultSite::TransferH2D),
-            other => panic!("expected an injected fault, got {other}"),
+        // Transfer-only faults at rate 1: the first transfer of every
+        // flavour must fail with a typed corruption fault and flip exactly
+        // one bit of the transferred bytes — in device memory for writes,
+        // in the host slice for reads — at the position seed 42 draws.
+        let payload: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let flipped_at = |got: &[u8], want: &[u8]| -> Vec<(usize, u32)> {
+            got.iter()
+                .zip(want)
+                .enumerate()
+                .flat_map(|(i, (a, b))| {
+                    (0..8).filter(move |bit| (a ^ b) >> bit & 1 == 1).map(move |bit| (i, bit))
+                })
+                .collect()
+        };
+        for (ty, elem) in FLAVOURS {
+            for write in [true, false] {
+                let case = format!("{ty} {}", if write { "write" } else { "read" });
+                let (ctx, q, _p) = setup("__kernel void k(__global double* io) {}");
+                let offset = if ty == "u8" { 0 } else { 1 };
+                let byte_off = offset * elem;
+                let buf = ctx.create_buffer(48);
+                let mut device = vec![0u8; 48];
+                if !write {
+                    device[byte_off..byte_off + payload.len()].copy_from_slice(&payload);
+                    q.enqueue_write_buffer(&buf, &device).expect("staging write");
+                }
+                let reg = Arc::new(MetricsRegistry::new());
+                q.attach_metrics(reg.clone());
+                q.enable_trace();
+                q.set_fault_plan(FaultPlan::new(1.0, 42).with_sites(FaultSites {
+                    transfer: true,
+                    enqueue: false,
+                    stall: false,
+                    trap: false,
+                }));
+                let before = (q.elapsed_s(), q.counters().writes, q.counters().reads);
+                let (result, out) = transfer(&q, &buf, ty, write, offset, &payload);
+                let site = if write { FaultSite::TransferH2D } else { FaultSite::TransferD2H };
+                match result.expect_err("transfer fault") {
+                    RuntimeError::Fault(f) => assert_eq!(f.site, site, "{case}"),
+                    other => panic!("{case}: expected an injected fault, got {other}"),
+                }
+                let flips = if write {
+                    let got = ctx.snapshot(&buf);
+                    assert_eq!(got[..byte_off], device[..byte_off], "{case}: prefix untouched");
+                    assert_eq!(got[byte_off + 32..], device[byte_off + 32..], "{case}: tail");
+                    flipped_at(&got[byte_off..byte_off + 32], &payload)
+                } else {
+                    flipped_at(&out, &payload)
+                };
+                assert_eq!(flips, [FLIP_SEED_42], "{case}: one bit at the seeded position");
+                let after = (q.elapsed_s(), q.counters().writes, q.counters().reads);
+                assert_eq!(after, before, "{case}: failed commands cost no time and no count");
+                assert_eq!(q.counters().faults, 1, "{case}");
+                assert_eq!(reg.counter_total("fault.injected"), 1, "{case}");
+                let marker = q.trace().pop().expect("fault marker traced");
+                assert_eq!(marker.fault, Some(site), "{case}");
+                assert_eq!(marker.start_s, marker.end_s, "{case}");
+                assert!(
+                    q.export_chrome_trace().to_string().contains(site.label()),
+                    "{case}: fault visible in the chrome export"
+                );
+            }
         }
-        let written = ctx.snapshot(&buf);
-        let flipped: u32 = written
-            .iter()
-            .zip([1.0f64; 4].iter().flat_map(|v| v.to_le_bytes()))
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(flipped, 1, "exactly one bit corrupted");
-        assert_eq!(q.elapsed_s(), before, "failed commands cost no simulated time");
-        assert_eq!(q.counters().writes, 0, "failed writes are not counted as writes");
-        assert_eq!(q.counters().faults, 1);
-        assert_eq!(reg.counter_total("fault.injected"), 1);
-        let marker = q.trace().pop().expect("fault marker traced");
-        assert_eq!(marker.fault, Some(FaultSite::TransferH2D));
-        assert_eq!(marker.start_s, marker.end_s);
-        assert!(
-            q.export_chrome_trace().to_string().contains("transfer_h2d"),
-            "fault visible in the chrome export"
-        );
     }
 
     #[test]

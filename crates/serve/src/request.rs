@@ -107,8 +107,8 @@ pub struct PricingRequest {
 }
 
 impl PricingRequest {
-    /// A price-only request for `params` exercised per its `style` —
-    /// what the deprecated untyped API submits.
+    /// A price-only request for `params` exercised per its `style`
+    /// ([`Payoff::from_style`]).
     pub fn from_style(params: OptionParams) -> PricingRequest {
         PricingRequest {
             payoff: Payoff::from_style(params.style),

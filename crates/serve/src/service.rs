@@ -37,7 +37,6 @@ use crate::request::{PricingRequest, PricingResponse};
 use crate::scheduler::ShardScheduler;
 use crate::tracing::{RequestId, RequestTracer};
 use bop_core::{Error, PayoffSuite, PricingRun, Rejection, RiskRequest};
-use bop_finance::OptionParams;
 use bop_obs::{Json, MetricsRegistry, SpanCategory, TraceSpan};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,16 +184,6 @@ impl Ticket {
     /// in the queue; any shard pricing error otherwise.
     pub fn wait(self) -> Result<Vec<PricingResponse>, Error> {
         self.agg.wait()
-    }
-
-    /// Block until the request finishes and return bare prices — the
-    /// pre-payoff API's result shape.
-    ///
-    /// # Errors
-    /// As [`Ticket::wait`].
-    #[deprecated(since = "0.3.0", note = "use `Ticket::wait`, which returns `PricingResponse`s")]
-    pub fn wait_prices(self) -> Result<Vec<f64>, Error> {
-        Ok(self.agg.wait()?.into_iter().map(|r| r.price).collect())
     }
 }
 
@@ -467,37 +456,6 @@ impl PricingService {
     /// As [`PricingService::submit`] and [`Ticket::wait`].
     pub fn price(&self, requests: Vec<PricingRequest>) -> Result<Vec<PricingResponse>, Error> {
         self.submit(requests, None)?.wait()
-    }
-
-    /// Submit bare options priced per their `style` field — the
-    /// pre-payoff API.
-    ///
-    /// # Errors
-    /// As [`PricingService::submit`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `PricingService::submit` with typed `PricingRequest`s"
-    )]
-    pub fn submit_options(
-        &self,
-        options: Vec<OptionParams>,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, Error> {
-        self.submit(options.into_iter().map(PricingRequest::from_style).collect(), deadline)
-    }
-
-    /// Price bare options per their `style` field and return bare
-    /// prices — the pre-payoff API.
-    ///
-    /// # Errors
-    /// As [`PricingService::price`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `PricingService::price` with typed `PricingRequest`s"
-    )]
-    pub fn price_options(&self, options: Vec<OptionParams>) -> Result<Vec<f64>, Error> {
-        let requests = options.into_iter().map(PricingRequest::from_style).collect();
-        Ok(self.price(requests)?.into_iter().map(|r| r.price).collect())
     }
 
     /// The service's metrics registry.
@@ -1091,6 +1049,7 @@ fn record_finish(
 mod tests {
     use super::*;
     use bop_finance::payoff::Payoff;
+    use bop_finance::OptionParams;
 
     fn response(price: f64) -> PricingResponse {
         PricingResponse { price, greeks: None }

@@ -307,25 +307,3 @@ fn concurrent_submitters_all_get_their_own_prices() {
         assert_eq!(served, reference, "each submitter gets its own request's prices");
     }
 }
-
-#[test]
-#[allow(deprecated)]
-fn the_deprecated_untyped_path_still_prices() {
-    // The pre-payoff Vec<OptionParams> -> Vec<f64> API remains a thin
-    // shim over the typed pair until its removal.
-    let service =
-        PricingService::start(vec![gpu_suite(32)], ServeConfig::default()).expect("starts");
-    let opts = options(3, 11);
-    let via_shim = service.price_options(opts.clone()).expect("prices");
-    let via_ticket =
-        service.submit_options(opts.clone(), None).expect("accepted").wait_prices().expect("ok");
-    assert_eq!(via_shim, via_ticket);
-    let typed: Vec<f64> = service
-        .price(opts.into_iter().map(PricingRequest::from_style).collect())
-        .expect("prices")
-        .iter()
-        .map(|r| r.price)
-        .collect();
-    assert_eq!(via_shim, typed, "the shim is exactly the typed path");
-    service.shutdown();
-}
